@@ -97,7 +97,7 @@ def drive(socks, workload, stop_ns: int | None = None, timeout_s: float = 10.0) 
     sel = selectors.DefaultSelector()
     live = 0
 
-    def issue(leg: _Leg) -> bool:
+    def send_next(leg: _Leg) -> bool:
         if stop_ns is not None and now() >= stop_ns:
             return False
         op = workload.next_op(leg.index)
@@ -114,7 +114,7 @@ def drive(socks, workload, stop_ns: int | None = None, timeout_s: float = 10.0) 
     try:
         for i, sock in enumerate(socks):
             leg = _Leg(i, sock)
-            if issue(leg):
+            if send_next(leg):
                 sel.register(sock, selectors.EVENT_READ, leg)
                 live += 1
         while live:
@@ -141,7 +141,7 @@ def drive(socks, workload, stop_ns: int | None = None, timeout_s: float = 10.0) 
                 if is_read:
                     tally.reads += 1
                     tally.stale += outcome == STALE
-                if not issue(leg):
+                if not send_next(leg):
                     sel.unregister(leg.sock)
                     live -= 1
     finally:

@@ -77,11 +77,11 @@ class Segment:
     def p50_ms(self) -> float:
         """Median request latency of each one-second slice, averaged.
 
-        The host's CPU speed changes in phases of seconds, so on a CPU-bound
-        workload the latencies of a whole run form one cluster per phase,
-        and its median jumps between clusters with the phase mix. Each
-        slice's median tracks the speed of its own second; their average
-        moves with the mix smoothly, as the mean does.
+        On a shared host, CPU speed changes in phases of seconds, so on a
+        CPU-bound workload the latencies of a whole run form one cluster per
+        phase, and its median jumps between clusters with the phase mix.
+        Each slice's median tracks the speed of its own second; their
+        average moves with the mix smoothly, as the mean does.
         """
         slices: dict[int, list[int]] = {}
         for done, latency in zip(self.tally.done_ns, self.tally.latency_ns):
@@ -114,7 +114,8 @@ def _set_up(wl, stack: Stack):
 
 def _window_counts(rows: list[dict], after_warm: float, start: float, drained: float):
     """Hits and misses between the stats rows that bracket the window."""
-    before = [r for r in rows if after_warm + _ROW_MARGIN_S < float(r["ts"]) < start - _ROW_MARGIN_S]
+    before = [r for r in rows
+              if after_warm + _ROW_MARGIN_S < float(r["ts"]) < start - _ROW_MARGIN_S]
     after = [r for r in rows if float(r["ts"]) > drained + _ROW_MARGIN_S]
     if not before or not after:
         raise RuntimeError("proxy stats rows do not bracket the measured window")
@@ -173,9 +174,9 @@ def measured_run(wl_cls, seed: int, seconds: float, run_dir: Path):
     t = seg.tally
     n_lat = len(t.latency_ns)
     stale = t.stale / t.reads if t.reads else 0.0
-    # All are printed. BENCHMARK.json gates those that CPU stolen from this
-    # small VM by the host does not move past a bound: stalls in the closed
-    # loop move the mean (so rps) and the tail far more than the median.
+    # All are printed. BENCHMARK.json gates those that CPU steal on a small
+    # shared VM does not move past a bound: stalls in the closed loop move
+    # the mean (so rps) and the tail far more than the median.
     rows = {
         "rps": (seg.rps(), "1/s", n_lat),
         "p50_ms": (seg.p50_ms(), "ms", n_lat),

@@ -45,10 +45,10 @@ class Workload:
         """Keys each connection reads once, through the proxy, to fill the cache."""
         raise NotImplementedError
 
-    def start(self, ops_by_conn: list[list[int]] | None = None) -> None:
+    def start(self, keys_by_conn: list[list[int]] | None = None) -> None:
         """Begin a request stream: the warm-up reads, or the seeded mix."""
-        if ops_by_conn is not None:
-            self._script = [iter(keys) for keys in ops_by_conn]
+        if keys_by_conn is not None:
+            self._script = [iter(keys) for keys in keys_by_conn]
             self._rngs = None
         else:
             self._script = None
@@ -99,8 +99,8 @@ class WanRead(ReadOnly):
     # Scenario B-ohio (0.25 ms / 82 ms one way) at time scale 10.
     delays_ms = (0.025, 8.2)
 
-    def start(self, ops_by_conn=None) -> None:
-        super().start(ops_by_conn)
+    def start(self, keys_by_conn=None) -> None:
+        super().start(keys_by_conn)
         self._round: list[int] = []
 
     def _mixed_op(self, conn: int, rng: random.Random):
@@ -136,8 +136,8 @@ class MissLarge(ReadOnly):
         ]
         self._insert_ack = wirefmt.encode({"n": 1, "ok": 1.0})
 
-    def start(self, ops_by_conn=None) -> None:
-        super().start(ops_by_conn)
+    def start(self, keys_by_conn=None) -> None:
+        super().start(keys_by_conn)
         # The proxy's LRU contents once warm-up has read keys 1..capacity.
         self._resident = OrderedDict.fromkeys(range(1, self.capacity + 1))
         self._reads = 0
