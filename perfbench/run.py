@@ -176,7 +176,8 @@ def measured_run(wl_cls, seed: int, seconds: float, run_dir: Path):
     stale = t.stale / t.reads if t.reads else 0.0
     # All are printed. BENCHMARK.json gates those that CPU steal on a small
     # shared VM does not move past a bound: stalls in the closed loop move
-    # the mean (so rps) and the tail far more than the median.
+    # the mean (so rps), the tail and the proxy's CPU per request (more
+    # lock hand-offs) far more than the median.
     rows = {
         "rps": (seg.rps(), "1/s", n_lat),
         "p50_ms": (seg.p50_ms(), "ms", n_lat),
