@@ -7,52 +7,4 @@ provides a mock server, one-way-delay link emulation, and a scenario
 runner for measuring the cache under WAN-like distances on one machine.
 """
 
-from .engine import Command, CommandKind, PendingTable, extract_key, parse_command
-from .flows import Direction, FlowClass, classify_client, classify_server
-from .proxy import CacheProxy, ProxyConfig, run_proxy
-from .storage import CacheStats, CacheStore, Hit, Miss, Policy, PutOutcome, canonical_key
-from .wire import (
-    MessageHeader,
-    RawMessage,
-    WireError,
-    decode_document,
-    decode_header,
-    encode_document,
-    encode_header,
-    read_message,
-    write_message,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Command",
-    "CommandKind",
-    "PendingTable",
-    "extract_key",
-    "parse_command",
-    "Direction",
-    "FlowClass",
-    "classify_client",
-    "classify_server",
-    "CacheProxy",
-    "ProxyConfig",
-    "run_proxy",
-    "CacheStats",
-    "CacheStore",
-    "Hit",
-    "Miss",
-    "Policy",
-    "PutOutcome",
-    "canonical_key",
-    "MessageHeader",
-    "RawMessage",
-    "WireError",
-    "decode_document",
-    "decode_header",
-    "encode_document",
-    "encode_header",
-    "read_message",
-    "write_message",
-    "__version__",
-]

@@ -16,7 +16,6 @@ re-fill the store with the overwritten value.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -78,39 +77,29 @@ class PendingEntry:
 
 
 class PendingTable:
-    """Session-local map of forwarded request ids awaiting responses."""
+    """Session-local map of forwarded request ids awaiting responses.
+
+    Only the proxy's loop thread touches it, so it takes no lock.
+    """
 
     def __init__(self):
         self._entries: dict[int, PendingEntry] = {}
-        self._lock = threading.Lock()
 
     def track_find(self, request_id: int, key: CacheKey, token: FillToken) -> None:
-        with self._lock:
-            self._entries[request_id] = PendingEntry(
-                PendingKind.FIND_FILL, key, token, time.monotonic()
-            )
+        self._entries[request_id] = PendingEntry(
+            PendingKind.FIND_FILL, key, token, time.monotonic()
+        )
 
     def track_write(self, request_id: int, key: CacheKey | None) -> None:
         kind = PendingKind.WRITE_KEY if key is not None else PendingKind.WRITE_ALL
-        with self._lock:
-            self._entries[request_id] = PendingEntry(kind, key, None, time.monotonic())
-
-    def contains(self, request_id: int) -> bool:
-        with self._lock:
-            return request_id in self._entries
+        self._entries[request_id] = PendingEntry(kind, key, None, time.monotonic())
 
     def take(self, request_id: int) -> PendingEntry | None:
-        """Atomically remove and return the entry, or None if untracked."""
-        with self._lock:
-            return self._entries.pop(request_id, None)
-
-    def drop_all(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        """Remove and return the entry, or None if untracked."""
+        return self._entries.pop(request_id, None)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 def extract_key(filter_doc: Any, key_field: str = "_id") -> CacheKey | None:

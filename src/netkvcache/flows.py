@@ -1,10 +1,10 @@
-"""Classification of messages into the three traffic flows.
+"""Classification of client messages into the traffic flows.
 
 Client-side messages split into the manipulation flow (data operations
 the cache understands) and the coordination flow (handshakes, pings,
 monitoring — everything else, forwarded untouched). Server-side messages
-split into the response flow (answers to tracked manipulation requests,
-matched by ``response_to``) and the coordination flow.
+need no classifier: the engine matches responses to tracked requests by
+``response_to`` and forwards everything unchanged.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ COMMAND_KEYWORDS = frozenset({"find", "insert", "update", "delete"})
 
 class FlowClass(enum.Enum):
     MANIPULATION = "manipulation"
-    RESPONSE = "response"
     COORDINATION = "coordination"
-
-
-class Direction(enum.Enum):
-    FROM_CLIENT = "from_client"
-    FROM_SERVER = "from_server"
 
 
 def classify_client(m: RawMessage) -> FlowClass:
@@ -41,13 +35,3 @@ def classify_client(m: RawMessage) -> FlowClass:
         return FlowClass.MANIPULATION
     return FlowClass.COORDINATION
 
-
-def classify_server(m: RawMessage, pending) -> FlowClass:
-    """Classify a server-originated message.
-
-    Response iff ``response_to`` matches an outstanding tracked request
-    in the session's pending table; coordination otherwise.
-    """
-    if pending.contains(m.header.response_to):
-        return FlowClass.RESPONSE
-    return FlowClass.COORDINATION

@@ -1,47 +1,1 @@
 """Desk-scale emulation lab: mock server, delay links, workload, scenarios."""
-
-from .delay import DelayPipe, delay_pipe
-from .mockserver import MockKVServer, run_mock_server
-from .scenario import (
-    SCENARIO_DELAYS,
-    DelaySpec,
-    ScenarioConfig,
-    ScenarioResult,
-    SweepResult,
-    run_capacity_sweep,
-    run_scenario,
-    summarize,
-    summarize_single,
-)
-from .workload import (
-    MetricsReport,
-    ProtocolClient,
-    RequestRecord,
-    WorkloadConfig,
-    key_sequence,
-    run_workload,
-    simulate_outcomes,
-)
-
-__all__ = [
-    "DelayPipe",
-    "delay_pipe",
-    "MockKVServer",
-    "run_mock_server",
-    "SCENARIO_DELAYS",
-    "DelaySpec",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "SweepResult",
-    "run_capacity_sweep",
-    "run_scenario",
-    "summarize",
-    "summarize_single",
-    "MetricsReport",
-    "ProtocolClient",
-    "RequestRecord",
-    "WorkloadConfig",
-    "key_sequence",
-    "run_workload",
-    "simulate_outcomes",
-]

@@ -24,7 +24,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ..proxy import CacheProxy, ProxyConfig, StatsEmitter
+from ..proxy import STATS_CSV_COLUMNS, CacheProxy, ProxyConfig
 from ..storage import Policy
 from .delay import DelayPipe
 from .mockserver import MockKVServer
@@ -131,13 +131,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 upstream=upstream,
                 capacity=cfg.capacity,
                 policy=cfg.policy,
+                stats_interval=cfg.stats_interval,
                 shutdown_grace=1.0,
             )).start()
             stack.callback(proxy.stop)
             upstream = proxy.address
-            if cfg.stats_interval > 0:
-                emitter = StatsEmitter(proxy.store, cfg.stats_interval).start()
-                stack.callback(emitter.stop)
 
         if delays.client_cache_oneway_ms > 0:
             pipe1 = DelayPipe(upstream, delays.client_cache_oneway_ms).start()
@@ -168,8 +166,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     cfg.name, counts.get("hit", 0), counts.get("miss", 0),
                     stats.hits, stats.misses,
                 )
-        if cfg.with_cache and cfg.stats_interval > 0:
-            stats_rows = emitter.records
+            if proxy.stats_emitter is not None:
+                stats_rows = proxy.stats_emitter.records
 
     result = ScenarioResult(cfg, report)
     if cfg.out_dir:
@@ -194,9 +192,7 @@ def write_outputs(out_dir: Path, result: ScenarioResult, stats_rows=None) -> Non
             writer.writerow([second, count])
 
     with open(out_dir / "stats.csv", "w", newline="") as f:
-        columns = ["ts", "hits", "misses", "bypasses", "fills",
-                   "rejected_fills", "invalidations", "entries", "rps"]
-        writer = csv.DictWriter(f, fieldnames=columns)
+        writer = csv.DictWriter(f, fieldnames=STATS_CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(stats_rows or [])
 

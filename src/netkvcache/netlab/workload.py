@@ -163,13 +163,6 @@ class MetricsReport:
         t1 = self.records[-1].completed_at
         return (n - start) / max(t1 - t0, 1e-9)
 
-    def first_request_latencies(self) -> dict[int, float]:
-        firsts: dict[int, float] = {}
-        for r in self.records:
-            if r.key not in firsts:
-                firsts[r.key] = r.latency_ms
-        return firsts
-
 
 class ProtocolClient:
     """Blocking request/response client for the wire protocol."""

@@ -1,22 +1,32 @@
 """TCP proxy front: accept clients, splice to the upstream server, and pump
 messages through the flow classifier and cache engine in both directions.
 
-One session per client connection (thread per leg); sessions share only
-the cache store, whose operations are linearizable. Coordination traffic
-is relayed byte-identically; manipulation traffic goes through the
-engine, which may answer reads locally without contacting the server.
+Every session runs on one thread: a ``selectors`` loop, started by
+``CacheProxy.start()``, owns the listener, both sockets of every session,
+their read buffers and write queues, and each session's pending table.
+Nothing the loop owns is touched from another thread, so none of it needs
+a lock. Upstream connects are non-blocking, so a slow or hanging upstream
+holds up only its own session. The one other proxy thread is the
+optional ``StatsEmitter``; it reads the ``CacheStore``, which keeps its
+lock because callers outside the loop read it too.
+
+Coordination traffic is relayed byte-identically; manipulation traffic
+goes through the engine, which may answer reads locally without
+contacting the server.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import itertools
 import logging
+import selectors
 import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engine, flows, wire
 from .storage import CacheStore, Policy
@@ -29,6 +39,12 @@ STATS_CSV_COLUMNS = [
     "ts", "hits", "misses", "bypasses", "fills",
     "rejected_fills", "invalidations", "entries", "rps",
 ]
+
+# A session stops reading both legs while its write queues hold more than
+# this many bytes, so a client that never reads its replies cannot grow
+# the proxy's memory by more than this plus one message.
+MAX_QUEUED_BYTES = 256 * 1024
+RECV_BYTES = 64 * 1024
 
 
 class BindFailure(RuntimeError):
@@ -62,8 +78,47 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 def _configure_socket(sock: socket.socket) -> None:
+    sock.setblocking(False)
     # Request/response ping-pong: never let Nagle hold a message back.
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+class _Leg:
+    """One socket of a session: bytes received but not yet framed, and
+    bytes queued to send.
+
+    It is the stream ``wire.read_message`` reads a buffered frame from and
+    ``wire.write_message`` writes into; the loop moves the bytes between
+    these buffers and the socket.
+    """
+
+    __slots__ = ("sock", "name", "inbuf", "outbuf", "events")
+
+    def __init__(self, sock: socket.socket, name: str):
+        self.sock = sock
+        self.name = name
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.events = 0  # the selector interest currently registered
+
+    def read(self, n: int) -> bytearray:
+        chunk = self.inbuf[:n]
+        del self.inbuf[:n]
+        return chunk
+
+    def write(self, data: bytes) -> None:
+        self.outbuf += data
+
+    def flush(self) -> None:
+        pass
+
+    def frame_ready(self, max_bytes: int) -> bool:
+        """True if ``read_message`` can run without waiting for more bytes:
+        the whole frame is buffered, or its length prefix will be rejected."""
+        if len(self.inbuf) < 4:
+            return False
+        length = int.from_bytes(self.inbuf[:4], "little")
+        return len(self.inbuf) >= length or not wire.HEADER_SIZE <= length <= max_bytes
 
 
 class Session:
@@ -72,115 +127,155 @@ class Session:
     def __init__(self, proxy: "CacheProxy", client_sock: socket.socket, session_id: int):
         self.proxy = proxy
         self.session_id = session_id
-        self.client_sock = client_sock
-        _configure_socket(client_sock)
-        cfg = proxy.config
-        try:
-            self.upstream_sock = socket.create_connection(
-                cfg.upstream, timeout=cfg.connect_timeout
-            )
-        except OSError as exc:
-            raise UpstreamUnavailable(f"cannot reach upstream {cfg.upstream}: {exc}") from exc
-        self.upstream_sock.settimeout(None)
-        _configure_socket(self.upstream_sock)
-
-        self._client_r = client_sock.makefile("rb")
-        self._client_w = client_sock.makefile("wb")
-        self._upstream_r = self.upstream_sock.makefile("rb")
-        self._upstream_w = self.upstream_sock.makefile("wb")
-        self._downstream_lock = threading.Lock()
-        self._close_lock = threading.Lock()
-        self.closed = False
         self.pending = engine.PendingTable()
-        self._id_counter = itertools.count(1)
-        self._server_thread = threading.Thread(
-            target=self._server_pump, name=f"session-{session_id}-server", daemon=True
-        )
+        self.closed = False
+        self.connected = False
+        self._ids = itertools.count(1)
+        cfg = proxy.config
+        _configure_socket(client_sock)
+        self.client = _Leg(client_sock, "client")
+        self.connect_deadline = time.monotonic() + cfg.connect_timeout
+        try:
+            self._addresses = socket.getaddrinfo(*cfg.upstream, type=socket.SOCK_STREAM)
+        except OSError as exc:
+            raise UpstreamUnavailable(f"cannot resolve upstream {cfg.upstream}: {exc}") from exc
+        self._dial()
+
+    def _dial(self) -> None:
+        """Start a non-blocking connect to the next upstream address."""
+        while self._addresses:
+            family, kind, proto, _, address = self._addresses.pop(0)
+            sock = socket.socket(family, kind, proto)
+            _configure_socket(sock)
+            err = sock.connect_ex(address)
+            if err in (0, errno.EINPROGRESS):
+                self.upstream = _Leg(sock, "server")
+                return
+            sock.close()
+        raise UpstreamUnavailable(f"cannot reach upstream {self.proxy.config.upstream}")
+
+    def _finish_connect(self) -> None:
+        err = self.upstream.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            self.proxy._set_interest(self.upstream, 0, self)
+            self.upstream.sock.close()
+            self._dial()
+            return
+        self.connected = True
+        self.proxy._connecting.discard(self)
+        log.info("session %d: %s connected", self.session_id, self.client.sock.getpeername())
 
     # -- leg writers -----------------------------------------------------
 
     def _send_upstream(self, m: wire.RawMessage) -> None:
-        wire.write_message(self._upstream_w, m)
+        wire.write_message(self.upstream, m)
 
     def _send_downstream(self, m: wire.RawMessage) -> None:
-        with self._downstream_lock:
-            wire.write_message(self._client_w, m)
-
-    def relay_cf(self, m: wire.RawMessage, direction: flows.Direction) -> None:
-        """Forward a coordination message unchanged to the opposite leg."""
-        if direction is flows.Direction.FROM_CLIENT:
-            self._send_upstream(m)
-        else:
-            self._send_downstream(m)
+        wire.write_message(self.client, m)
 
     def _next_response_id(self) -> int:
-        return next(self._id_counter)
+        return next(self._ids)
 
-    # -- pumps -----------------------------------------------------------
+    # -- the loop's entry points -----------------------------------------
 
-    def run(self) -> None:
-        """Pump both legs until either side closes; blocks the caller."""
-        self._server_thread.start()
+    def on_event(self, leg: _Leg, events: int) -> None:
+        """Handle readiness of one leg, then everything that unblocks."""
+        if self.closed:
+            return  # closed by an earlier event in the same batch
         try:
-            self._client_pump()
-        finally:
+            if not self.connected:
+                self._finish_connect()
+            elif events & selectors.EVENT_READ:
+                data = leg.sock.recv(RECV_BYTES)
+                if not data:
+                    raise wire.ConnectionClosed("peer closed")
+                leg.inbuf += data
+            self._drive()
+        except UpstreamUnavailable as exc:
+            log.error("session %d: %s", self.session_id, exc)
             self.close()
-            self._server_thread.join(timeout=2.0)
+        except wire.ConnectionClosed:
+            log.debug("session %d: %s leg closed", self.session_id, leg.name)
+            self.close()
+        except (wire.WireError, OSError, ValueError) as exc:
+            log.info("session %d: %s leg error: %s", self.session_id, leg.name, exc)
+            self.close()
+        except Exception:
+            # Whatever a session's input provokes, only that session ends.
+            log.exception("session %d: internal error", self.session_id)
+            self.close()
+        else:
+            self._update_interest()
 
-    def _client_pump(self) -> None:
-        cfg = self.proxy.config
-        try:
-            while not self.closed:
-                m = wire.read_message(self._client_r, cfg.max_message_bytes)
-                if flows.classify_client(m) is flows.FlowClass.COORDINATION:
-                    self.relay_cf(m, flows.Direction.FROM_CLIENT)
+    def queued_bytes(self) -> int:
+        return len(self.client.outbuf) + len(self.upstream.outbuf)
+
+    def _drive(self) -> None:
+        """Send what the sockets take, then handle buffered frames while the
+        write queues have room; repeat until neither makes progress."""
+        while True:
+            self._flush()
+            if self.queued_bytes() > MAX_QUEUED_BYTES or not self._handle_frames():
+                return
+
+    def _flush(self) -> None:
+        for leg in (self.client, self.upstream):
+            if leg.outbuf:
+                try:
+                    sent = leg.sock.send(leg.outbuf)
+                except BlockingIOError:
                     continue
-                cmd = engine.parse_command(m, cfg.key_field)
-                log.debug("session %d: client %s key=%s",
-                          self.session_id, cmd.kind.value, cmd.key)
-                engine.handle_client(
-                    cmd, self.proxy.store, self.pending,
-                    self._send_upstream, self._send_downstream,
-                    self._next_response_id,
-                )
-        except wire.ConnectionClosed:
-            log.debug("session %d: client leg closed", self.session_id)
-        except (wire.WireError, OSError, ValueError) as exc:
-            if not self.closed:
-                log.info("session %d: client leg error: %s", self.session_id, exc)
+                del leg.outbuf[:sent]
 
-    def _server_pump(self) -> None:
+    def _handle_frames(self) -> bool:
+        """Handle buffered frames until none is complete or the queues are
+        full; each frame adds at most one message to a queue."""
         cfg = self.proxy.config
-        try:
-            while not self.closed:
-                m = wire.read_message(self._upstream_r, cfg.max_message_bytes)
-                engine.handle_server(
-                    m, self.proxy.store, self.pending, self._send_downstream
-                )
-        except wire.ConnectionClosed:
-            log.debug("session %d: server leg closed", self.session_id)
-        except (wire.WireError, OSError, ValueError) as exc:
-            if not self.closed:
-                log.info("session %d: server leg error: %s", self.session_id, exc)
-        finally:
-            self.close()
+        handled = False
+        for leg in (self.client, self.upstream):
+            while (self.queued_bytes() <= MAX_QUEUED_BYTES
+                   and leg.frame_ready(cfg.max_message_bytes)):
+                m = wire.read_message(leg, cfg.max_message_bytes)
+                handled = True
+                if leg is self.upstream:
+                    engine.handle_server(m, self.proxy.store, self.pending,
+                                         self._send_downstream)
+                elif flows.classify_client(m) is flows.FlowClass.COORDINATION:
+                    self._send_upstream(m)
+                else:
+                    cmd = engine.parse_command(m, cfg.key_field)
+                    log.debug("session %d: client %s key=%s",
+                              self.session_id, cmd.kind.value, cmd.key)
+                    engine.handle_client(
+                        cmd, self.proxy.store, self.pending,
+                        self._send_upstream, self._send_downstream,
+                        self._next_response_id,
+                    )
+        return handled
+
+    def _update_interest(self) -> None:
+        if not self.connected:
+            self.proxy._set_interest(self.upstream, selectors.EVENT_WRITE, self)
+            return
+        read = selectors.EVENT_READ if self.queued_bytes() <= MAX_QUEUED_BYTES else 0
+        for leg in (self.client, self.upstream):
+            self.proxy._set_interest(
+                leg, read | (selectors.EVENT_WRITE if leg.outbuf else 0), self)
 
     def close(self) -> None:
-        with self._close_lock:
-            if self.closed:
-                return
-            self.closed = True
-        self.pending.drop_all()
-        for sock in (self.client_sock, self.upstream_sock):
+        if self.closed:
+            return
+        self.closed = True
+        for leg in (self.client, self.upstream):
+            self.proxy._set_interest(leg, 0, self)
             try:
-                sock.shutdown(socket.SHUT_RDWR)
+                leg.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self.proxy._session_done(self)
+            leg.sock.close()
+        self.proxy._sessions.discard(self)
+        self.proxy._connecting.discard(self)
+        log.info("session %d: done", self.session_id)
 
 
 class StatsEmitter:
@@ -241,10 +336,10 @@ class CacheProxy:
         self.store = CacheStore(config.capacity, config.policy)
         self._listener: socket.socket | None = None
         self._sessions: set[Session] = set()
-        self._lock = threading.Lock()
+        self._connecting: set[Session] = set()  # upstream connect in progress
         self._session_ids = itertools.count(1)
-        self._accept_thread: threading.Thread | None = None
-        self._stopped = threading.Event()
+        self._loop_thread: threading.Thread | None = None
+        self._stop_at: float | None = None
         self.stats_emitter: StatsEmitter | None = None
 
     @property
@@ -262,86 +357,97 @@ class CacheProxy:
         except OSError as exc:
             listener.close()
             raise BindFailure(f"cannot bind {self.config.listen}: {exc}") from exc
+        listener.setblocking(False)
         self._listener = listener
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ, self._accept)
+        # stop() writes a byte here to wake the loop from select().
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector.register(self._wake_r, selectors.EVENT_READ,
+                                lambda _events: self._wake_r.recv(64))
         if self.config.stats_interval > 0:
             self.stats_emitter = StatsEmitter(
                 self.store, self.config.stats_interval, self.config.stats_out
             ).start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="proxy-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._loop_thread = threading.Thread(target=self._run, name="proxy-loop", daemon=True)
+        self._loop_thread.start()
         log.info("listening on %s:%d, upstream %s:%d, capacity %d, policy %s",
                  *self.address, *self.config.upstream,
                  self.config.capacity, self.config.policy.value)
         return self
 
-    def _accept_loop(self) -> None:
+    def _set_interest(self, leg: _Leg, events: int, session: Session) -> None:
+        if events == leg.events:
+            return
+        if not leg.events:
+            self._selector.register(leg.sock, events, (session, leg))
+        elif not events:
+            self._selector.unregister(leg.sock)
+        else:
+            self._selector.modify(leg.sock, events, (session, leg))
+        leg.events = events
+
+    def _accept(self, _events: int) -> None:
         while True:
             try:
                 client_sock, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            threading.Thread(
-                target=self._session_main, args=(client_sock, peer),
-                name="session-setup", daemon=True,
-            ).start()
-
-    def _session_main(self, client_sock: socket.socket, peer) -> None:
-        session_id = next(self._session_ids)
-        try:
-            session = Session(self, client_sock, session_id)
-        except UpstreamUnavailable as exc:
-            # This session dies; the proxy keeps serving everyone else.
-            log.error("session %d from %s: %s", session_id, peer, exc)
-            client_sock.close()
-            return
-        with self._lock:
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                log.error("accept failed: %s", exc)
+                return
+            session_id = next(self._session_ids)
+            try:
+                session = Session(self, client_sock, session_id)
+            except (UpstreamUnavailable, OSError) as exc:
+                # This session dies; the proxy keeps serving everyone else.
+                log.error("session %d from %s: %s", session_id, peer, exc)
+                client_sock.close()
+                continue
             self._sessions.add(session)
-        log.info("session %d: %s connected", session_id, peer)
-        session.run()
-        log.info("session %d: done", session_id)
+            self._connecting.add(session)
+            session._update_interest()
 
-    def _session_done(self, session: Session) -> None:
-        with self._lock:
-            self._sessions.discard(session)
+    def _run(self) -> None:
+        while True:
+            now = time.monotonic()
+            for session in [s for s in self._connecting if s.connect_deadline <= now]:
+                log.error("session %d: cannot reach upstream %s: connect timed out",
+                          session.session_id, self.config.upstream)
+                session.close()
+            deadlines = [s.connect_deadline for s in self._connecting]
+            if self._stop_at is not None:
+                if self._listener.fileno() >= 0:
+                    self._selector.unregister(self._listener)
+                    self._listener.close()
+                if now >= self._stop_at or not any(len(s.pending) for s in self._sessions):
+                    break
+                deadlines.append(self._stop_at)
+            timeout = max(0.0, min(deadlines) - now) if deadlines else None
+            for key, events in self._selector.select(timeout):
+                if isinstance(key.data, tuple):
+                    session, leg = key.data
+                    session.on_event(leg, events)
+                else:
+                    key.data(events)
+        for session in list(self._sessions):
+            session.close()
+        self._selector.close()
 
     def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
     def stop(self, grace: float | None = None) -> None:
         """Stop accepting, drain in-flight requests, then close sessions."""
-        if self._listener is not None:
-            # shutdown wakes the blocked accept(); close alone would not.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        grace = self.config.shutdown_grace if grace is None else grace
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
-            with self._lock:
-                busy = any(len(s.pending) > 0 for s in self._sessions)
-            if not busy:
-                break
-            time.sleep(0.02)
-        with self._lock:
-            sessions = list(self._sessions)
-        for session in sessions:
-            session.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+        if self._loop_thread is not None and self._loop_thread.is_alive():
+            grace = self.config.shutdown_grace if grace is None else grace
+            self._stop_at = time.monotonic() + grace
+            self._wake_w.send(b"\0")
+            self._loop_thread.join()
+            self._wake_r.close()
+            self._wake_w.close()
         if self.stats_emitter is not None:
             self.stats_emitter.stop()
-        self._stopped.set()
-
-    def wait(self) -> None:
-        self._stopped.wait()
 
 
 def run_proxy(config: ProxyConfig) -> int:

@@ -7,8 +7,8 @@ token it obtained at miss time, which rejects any fill that an
 invalidation overtook while the server round trip was in flight.
 
 All operations are linearizable: a single lock guards every mutation and
-read, matching the exclusive acquire/release discipline the shared store
-needs under many concurrent sessions.
+read. The proxy's loop thread is the only writer, but the stats thread
+and callers outside the loop read the store while it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import struct
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any
@@ -94,22 +93,15 @@ class Miss:
     token: FillToken
 
 
-@dataclass
-class CacheEntry:
-    body: bytes
-    stored_at: float
-    epoch_at_fill: int
-
-
 class CacheStore:
-    """Shared key -> response-body store, safe for concurrent sessions."""
+    """Shared key -> response-body store, safe to read from any thread."""
 
     def __init__(self, capacity: int, policy: Policy = Policy.NOEVICT):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self.policy = policy
-        self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, bytes] = OrderedDict()
         self._epochs: dict[CacheKey, int] = {}
         self._global_epoch = 0
         self._stats = CacheStats()
@@ -118,12 +110,12 @@ class CacheStore:
     def get(self, key: CacheKey) -> Hit | Miss:
         """Look up a key; a miss returns the epoch token for the later fill."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            body = self._entries.get(key)
+            if body is not None:
                 self._stats.hits += 1
                 if self.policy is Policy.LRU:
                     self._entries.move_to_end(key)
-                return Hit(entry.body)
+                return Hit(body)
             self._stats.misses += 1
             return Miss((self._epochs.get(key, 0), self._global_epoch))
 
@@ -145,7 +137,7 @@ class CacheStore:
                     self._stats.rejected_fills += 1
                     return PutOutcome.REJECTED_FULL
                 self._entries.popitem(last=False)
-            self._entries[key] = CacheEntry(body, time.monotonic(), key_epoch)
+            self._entries[key] = body
             if self.policy is Policy.LRU:
                 self._entries.move_to_end(key)
             self._stats.fills += 1

@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import random
 
-from netkvcache.engine import PendingTable
-from netkvcache.flows import FlowClass, classify_client, classify_server
+from netkvcache.flows import FlowClass, classify_client
 from netkvcache.wire import MessageHeader, RawMessage, encode_document
 from support import random_document
 
@@ -40,28 +39,8 @@ def test_undecodable_body_is_coordination():
     assert classify_client(m) is FlowClass.COORDINATION
 
 
-def test_tracked_response_is_response_flow():
-    pending = PendingTable()
-    pending.track_find(17, b"\x10\x2a\x00\x00\x00", (0, 0))
-    m = message({"cursor": {}}, response_to=17)
-    assert classify_server(m, pending) is FlowClass.RESPONSE
-
-
-def test_response_to_zero_is_coordination():
-    pending = PendingTable()
-    pending.track_find(17, b"k", (0, 0))
-    assert classify_server(message({"ok": 1.0}, response_to=0), pending) is FlowClass.COORDINATION
-
-
-def test_untracked_response_is_coordination():
-    pending = PendingTable()
-    assert classify_server(message({"ok": 1.0}, response_to=99), pending) is FlowClass.COORDINATION
-
-
 def test_classification_total_over_random_messages():
     rng = random.Random(3)
-    pending = PendingTable()
     for i in range(500):
         m = message(random_document(rng), op_code=rng.choice([2013, 1, 2012]), request_id=i)
         assert classify_client(m) in (FlowClass.MANIPULATION, FlowClass.COORDINATION)
-        assert classify_server(m, pending) in (FlowClass.RESPONSE, FlowClass.COORDINATION)

@@ -8,9 +8,11 @@ import pytest
 
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
-from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig, StatsEmitter
+from netkvcache.proxy import (
+    MAX_QUEUED_BYTES, BindFailure, CacheProxy, ProxyConfig, StatsEmitter,
+)
 from netkvcache.storage import Policy
-from netkvcache.wire import ConnectionClosed, read_message
+from netkvcache.wire import ConnectionClosed, SocketStream, read_message
 
 
 @pytest.fixture
@@ -236,3 +238,99 @@ def test_graceful_stop_with_idle_client(server):
     assert time.monotonic() - t0 < 2.0
     assert proxy.session_count() == 0
     client.close()
+
+
+def _non_mock_threads() -> int:
+    return sum(1 for t in threading.enumerate() if not t.name.startswith("mock-"))
+
+
+def test_all_sessions_share_one_loop_thread(server):
+    before = _non_mock_threads()
+    proxy = start_proxy(server.address, stats_interval=0.1)
+    clients = []
+    try:
+        for key in range(1, 5):
+            clients.append(ProtocolClient(proxy.address))
+            assert clients[-1].find(key)["ok"] == 1.0
+        assert proxy.session_count() == 4
+        assert _non_mock_threads() - before <= 2  # the loop and the stats emitter
+    finally:
+        for client in clients:
+            client.close()
+        proxy.stop(grace=0.2)
+
+
+def test_hanging_upstream_connect_blocks_no_other_session():
+    # An upstream whose accept queue is full drops SYNs, so connects hang.
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)
+    fillers = []
+    for _ in range(4):
+        filler = socket.socket()
+        filler.setblocking(False)
+        filler.connect_ex(listener.getsockname())
+        fillers.append(filler)
+    proxy = start_proxy(listener.getsockname()[:2], connect_timeout=0.3)
+    clients = []
+    try:
+        t0 = time.monotonic()
+        clients = [socket.create_connection(proxy.address, timeout=2) for _ in range(2)]
+        for sock in clients:
+            with pytest.raises(ConnectionClosed):
+                read_message(SocketStream(sock))
+            assert time.monotonic() - t0 < 0.55
+    finally:
+        t1 = time.monotonic()
+        proxy.stop(grace=0.2)
+        assert time.monotonic() - t1 < 1.0
+        for sock in clients + fillers + [listener]:
+            sock.close()
+
+
+def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
+    big = MockKVServer(keyspace=4, doc_size=64 * 1024).start()
+    proxy = start_proxy(big.address)
+    finds = [{"find": "phrases", "filter": {"_id": {"$eq": 1 + i % 4}}} for i in range(160)]
+    try:
+        with ProtocolClient(big.address) as direct:
+            # The same request ids as the proxied client, which fills the cache first.
+            expected = [direct.request(body).to_bytes() for body in finds[:4] + finds][4:]
+        largest = max(len(frame) for frame in expected)
+        with ProtocolClient(proxy.address) as client:
+            for body in finds[:4]:
+                client.request(body)  # fill the cache: every find below is a hit
+            client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)
+            for body in finds:
+                client.send(body)
+            peak = 0
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                peak = max([peak] + [s.queued_bytes() for s in list(proxy._sessions)])
+                time.sleep(0.002)
+            got = [read_message(client._stream).to_bytes() for _ in finds]
+        assert MAX_QUEUED_BYTES <= peak <= MAX_QUEUED_BYTES + largest
+        # A hit carries a request id of the proxy's own; all else is the server's.
+        assert proxy.store.snapshot_stats().hits == len(finds)
+        assert [f[:4] + f[8:] for f in got] == [f[:4] + f[8:] for f in expected]
+    finally:
+        proxy.stop(grace=0.2)
+        big.stop()
+
+
+def test_slow_upstream_delays_only_its_own_session():
+    slow = MockKVServer(keyspace=10, processing_delay=0.4).start()
+    proxy = start_proxy(slow.address)
+    try:
+        with ProtocolClient(proxy.address) as fast, ProtocolClient(proxy.address) as waiting:
+            fast.find(1)  # fills the key through the slow upstream
+            request_id = waiting.send({"find": "phrases", "filter": {"_id": {"$eq": 2}}})
+            time.sleep(0.05)  # the miss is now upstream
+            t0 = time.monotonic()
+            assert fast.find(1)["cursor"]["firstBatch"][0]["_id"] == 1
+            assert time.monotonic() - t0 < 0.05
+            assert waiting.receive_response(request_id).header.response_to == request_id
+        assert proxy.store.snapshot_stats().hits == 1
+    finally:
+        proxy.stop(grace=0.2)
+        slow.stop()
