@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .storage import CacheKey, CacheStore, FillToken, Hit, canonical_key
-from .wire import (
-    HEADER_PREFIX_SIZE,
-    MANIPULATION_OPCODE,
-    MalformedDocument,
-    MessageHeader,
-    RawMessage,
-    decode_document,
-)
+from .wire import MalformedDocument, RawMessage, decode_document, make_message
 
 
 class CommandKind(enum.Enum):
@@ -189,16 +182,7 @@ def synthesize_response(
     The body is replayed verbatim; the header correlates to the
     triggering request and carries a fresh request id.
     """
-    header = MessageHeader(
-        length=HEADER_PREFIX_SIZE + len(stored_body),
-        request_id=next_id(),
-        response_to=request.header.request_id,
-        op_code=MANIPULATION_OPCODE,
-        flags=0,
-        payload_type=0,
-        payload_size=len(stored_body),
-    )
-    return RawMessage(header, stored_body)
+    return make_message(next_id(), request.header.request_id, stored_body)
 
 
 Send = Callable[[RawMessage], None]

@@ -10,25 +10,27 @@ serialization noise out of latency measurements.
 
 from __future__ import annotations
 
-import logging
+import itertools
 import random
 import socket
 import string
-import threading
-import time
 
 from .. import wire
 from ..engine import extract_key
 from ..storage import canonical_key
-
-log = logging.getLogger(__name__)
+from .delay import Route, RouteLoop
 
 
 def _seeded_phrase(rng: random.Random, size: int) -> str:
     return "".join(rng.choice(string.ascii_letters + " ") for _ in range(size))
 
 
-class MockKVServer:
+class MockKVServer(RouteLoop):
+    """Serves every connection on one loop thread: each request's reply is
+    built and sent ``processing_delay`` seconds after the request arrived."""
+
+    thread_name = "mock-loop"
+
     def __init__(
         self,
         listen: tuple[str, int] = ("127.0.0.1", 0),
@@ -36,113 +38,37 @@ class MockKVServer:
         seed: int = 1234,
         doc_size: int = 200,
         processing_delay: float = 0.0,
-        key_field: str = "_id",
         record_transcript: bool = False,
     ):
-        self.listen = listen
+        super().__init__(listen)
         self.keyspace = keyspace
-        self.key_field = key_field
         self.processing_delay = processing_delay
         self.record_transcript = record_transcript
         rng = random.Random(seed)
         self._table: dict[bytes, dict] = {}
         for k in range(1, keyspace + 1):
             self._table[canonical_key(k)] = {
-                key_field: k,
+                "_id": k,
                 "phrase": _seeded_phrase(rng, doc_size),
             }
         self._encoded_responses: dict[bytes, bytes] = {}
-        self._lock = threading.Lock()
-        self._listener: socket.socket | None = None
-        self._conns: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
         self.transcripts: list[dict[str, list[bytes]]] = []
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
+    def _routes(self, sock: socket.socket) -> list[Route]:
+        leg = wire.Leg(sock, "client")
+        transcript = {"received": [], "sent": []} if self.record_transcript else None
+        if transcript is not None:
+            self.transcripts.append(transcript)
+        response_ids = itertools.count(1)
 
-    def start(self) -> "MockKVServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.listen)
-        listener.listen(64)
-        self._listener = listener
-        thread = threading.Thread(target=self._accept_loop, name="mock-accept", daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return self
-
-    def stop(self) -> None:
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listener.close()
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._conns.append(conn)
-            transcript = {"received": [], "sent": []} if self.record_transcript else None
+        def reply(m: wire.RawMessage) -> wire.RawMessage:
+            out = wire.make_message(next(response_ids), m.header.request_id, self._respond(m))
             if transcript is not None:
-                self.transcripts.append(transcript)
-            thread = threading.Thread(
-                target=self._serve, args=(conn, transcript),
-                name="mock-conn", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+                transcript["received"].append(m.to_bytes())
+                transcript["sent"].append(out.to_bytes())
+            return out
 
-    def _serve(self, conn: socket.socket, transcript) -> None:
-        rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
-        response_ids = iter(range(1, 2**31))
-        try:
-            while True:
-                m = wire.read_message(rfile)
-                if transcript is not None:
-                    transcript["received"].append(m.to_bytes())
-                if self.processing_delay > 0:
-                    time.sleep(self.processing_delay)
-                body = self._respond(m)
-                reply = wire.RawMessage(
-                    wire.MessageHeader(
-                        length=wire.HEADER_PREFIX_SIZE + len(body),
-                        request_id=next(response_ids),
-                        response_to=m.header.request_id,
-                        op_code=wire.MANIPULATION_OPCODE,
-                        flags=0,
-                        payload_type=0,
-                        payload_size=len(body),
-                    ),
-                    body,
-                )
-                if transcript is not None:
-                    transcript["sent"].append(reply.to_bytes())
-                wire.write_message(wfile, reply)
-        except (wire.ConnectionClosed, wire.TruncatedMessage):
-            pass
-        except (wire.WireError, OSError, ValueError) as exc:
-            log.debug("mock connection error: %s", exc)
-        finally:
-            conn.close()
+        return [Route(leg, leg, self.processing_delay, reply)]
 
     # -- request handling --------------------------------------------------
 
@@ -166,82 +92,68 @@ class MockKVServer:
 
     def _find(self, body: dict) -> bytes:
         collection = body.get("find", "")
-        key = extract_key(body.get("filter"), self.key_field)
-        with self._lock:
-            if key is not None and key in self._encoded_responses:
-                return self._encoded_responses[key]
-            doc = self._table.get(key) if key is not None else None
-            batch = [dict(doc)] if doc is not None else []
-            encoded = wire.encode_document({
-                "cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"},
-                "ok": 1.0,
-            })
-            if key is not None and doc is not None:
-                self._encoded_responses[key] = encoded
-            return encoded
+        key = extract_key(body.get("filter"))
+        if key is not None and key in self._encoded_responses:
+            return self._encoded_responses[key]
+        doc = self._table.get(key) if key is not None else None
+        batch = [dict(doc)] if doc is not None else []
+        encoded = wire.encode_document({
+            "cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"},
+            "ok": 1.0,
+        })
+        if key is not None and doc is not None:
+            self._encoded_responses[key] = encoded
+        return encoded
 
     def _insert(self, body: dict) -> bytes:
         docs = body.get("documents")
         inserted = 0
         if isinstance(docs, list):
-            with self._lock:
-                for doc in docs:
-                    if not isinstance(doc, dict):
-                        continue
-                    key = canonical_key(doc.get(self.key_field))
-                    if key is None:
-                        continue
-                    self._table[key] = dict(doc)
-                    self._encoded_responses.pop(key, None)
-                    inserted += 1
+            for doc in docs:
+                if not isinstance(doc, dict):
+                    continue
+                key = canonical_key(doc.get("_id"))
+                if key is None:
+                    continue
+                self._table[key] = dict(doc)
+                self._encoded_responses.pop(key, None)
+                inserted += 1
         return wire.encode_document({"n": inserted, "ok": 1.0})
 
     def _update(self, body: dict) -> bytes:
         statements = body.get("updates")
         modified = 0
         if isinstance(statements, list):
-            with self._lock:
-                for statement in statements:
-                    if not isinstance(statement, dict):
-                        continue
-                    key = extract_key(statement.get("q"), self.key_field)
-                    if key is None or key not in self._table:
-                        continue
-                    change = statement.get("u")
-                    if not isinstance(change, dict):
-                        continue
-                    if isinstance(change.get("$set"), dict):
-                        self._table[key].update(change["$set"])
-                    else:
-                        fresh = dict(change)
-                        fresh[self.key_field] = self._table[key][self.key_field]
-                        self._table[key] = fresh
-                    self._encoded_responses.pop(key, None)
-                    modified += 1
+            for statement in statements:
+                if not isinstance(statement, dict):
+                    continue
+                key = extract_key(statement.get("q"))
+                if key is None or key not in self._table:
+                    continue
+                change = statement.get("u")
+                if not isinstance(change, dict):
+                    continue
+                if isinstance(change.get("$set"), dict):
+                    self._table[key].update(change["$set"])
+                else:
+                    fresh = dict(change)
+                    fresh["_id"] = self._table[key]["_id"]
+                    self._table[key] = fresh
+                self._encoded_responses.pop(key, None)
+                modified += 1
         return wire.encode_document({"n": modified, "nModified": modified, "ok": 1.0})
 
     def _delete(self, body: dict) -> bytes:
         statements = body.get("deletes")
         removed = 0
         if isinstance(statements, list):
-            with self._lock:
-                for statement in statements:
-                    if not isinstance(statement, dict):
-                        continue
-                    key = extract_key(statement.get("q"), self.key_field)
-                    if key is not None and key in self._table:
-                        del self._table[key]
-                        self._encoded_responses.pop(key, None)
-                        removed += 1
+            for statement in statements:
+                if not isinstance(statement, dict):
+                    continue
+                key = extract_key(statement.get("q"))
+                if key is not None and key in self._table:
+                    del self._table[key]
+                    self._encoded_responses.pop(key, None)
+                    removed += 1
         return wire.encode_document({"n": removed, "ok": 1.0})
 
-
-def run_mock_server(
-    address: tuple[str, int], keyspace: int = 100,
-    doc_size: int = 200, processing_delay: float = 0.0, seed: int = 1234,
-) -> MockKVServer:
-    """Start a mock server; returns the running instance (caller stops it)."""
-    return MockKVServer(
-        listen=address, keyspace=keyspace, doc_size=doc_size,
-        processing_delay=processing_delay, seed=seed,
-    ).start()

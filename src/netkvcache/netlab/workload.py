@@ -195,19 +195,7 @@ class ProtocolClient:
     def send(self, body_doc: dict) -> int:
         request_id = self._next_id
         self._next_id += 1
-        body = wire.encode_document(body_doc)
-        m = wire.RawMessage(
-            wire.MessageHeader(
-                length=wire.HEADER_PREFIX_SIZE + len(body),
-                request_id=request_id,
-                response_to=0,
-                op_code=wire.MANIPULATION_OPCODE,
-                flags=0,
-                payload_type=0,
-                payload_size=len(body),
-            ),
-            body,
-        )
+        m = wire.make_message(request_id, 0, wire.encode_document(body_doc))
         if self.transcript is not None:
             self.transcript["sent"].append(m.to_bytes())
         wire.write_message(self._stream, m)

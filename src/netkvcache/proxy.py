@@ -44,7 +44,6 @@ STATS_CSV_COLUMNS = [
 # this many bytes, so a client that never reads its replies cannot grow
 # the proxy's memory by more than this plus one message.
 MAX_QUEUED_BYTES = 256 * 1024
-RECV_BYTES = 64 * 1024
 
 
 class BindFailure(RuntimeError):
@@ -77,50 +76,6 @@ def parse_address(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _configure_socket(sock: socket.socket) -> None:
-    sock.setblocking(False)
-    # Request/response ping-pong: never let Nagle hold a message back.
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-class _Leg:
-    """One socket of a session: bytes received but not yet framed, and
-    bytes queued to send.
-
-    It is the stream ``wire.read_message`` reads a buffered frame from and
-    ``wire.write_message`` writes into; the loop moves the bytes between
-    these buffers and the socket.
-    """
-
-    __slots__ = ("sock", "name", "inbuf", "outbuf", "events")
-
-    def __init__(self, sock: socket.socket, name: str):
-        self.sock = sock
-        self.name = name
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
-        self.events = 0  # the selector interest currently registered
-
-    def read(self, n: int) -> bytearray:
-        chunk = self.inbuf[:n]
-        del self.inbuf[:n]
-        return chunk
-
-    def write(self, data: bytes) -> None:
-        self.outbuf += data
-
-    def flush(self) -> None:
-        pass
-
-    def frame_ready(self, max_bytes: int) -> bool:
-        """True if ``read_message`` can run without waiting for more bytes:
-        the whole frame is buffered, or its length prefix will be rejected."""
-        if len(self.inbuf) < 4:
-            return False
-        length = int.from_bytes(self.inbuf[:4], "little")
-        return len(self.inbuf) >= length or not wire.HEADER_SIZE <= length <= max_bytes
-
-
 class Session:
     """One client connection spliced to one upstream connection."""
 
@@ -132,8 +87,7 @@ class Session:
         self.connected = False
         self._ids = itertools.count(1)
         cfg = proxy.config
-        _configure_socket(client_sock)
-        self.client = _Leg(client_sock, "client")
+        self.client = wire.Leg(client_sock, "client")
         self.connect_deadline = time.monotonic() + cfg.connect_timeout
         try:
             self._addresses = socket.getaddrinfo(*cfg.upstream, type=socket.SOCK_STREAM)
@@ -146,10 +100,10 @@ class Session:
         while self._addresses:
             family, kind, proto, _, address = self._addresses.pop(0)
             sock = socket.socket(family, kind, proto)
-            _configure_socket(sock)
+            leg = wire.Leg(sock, "server")
             err = sock.connect_ex(address)
             if err in (0, errno.EINPROGRESS):
-                self.upstream = _Leg(sock, "server")
+                self.upstream = leg
                 return
             sock.close()
         raise UpstreamUnavailable(f"cannot reach upstream {self.proxy.config.upstream}")
@@ -157,7 +111,7 @@ class Session:
     def _finish_connect(self) -> None:
         err = self.upstream.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
         if err:
-            self.proxy._set_interest(self.upstream, 0, self)
+            self._watch(self.upstream, 0)
             self.upstream.sock.close()
             self._dial()
             return
@@ -178,7 +132,7 @@ class Session:
 
     # -- the loop's entry points -----------------------------------------
 
-    def on_event(self, leg: _Leg, events: int) -> None:
+    def on_event(self, leg: wire.Leg, events: int) -> None:
         """Handle readiness of one leg, then everything that unblocks."""
         if self.closed:
             return  # closed by an earlier event in the same batch
@@ -186,10 +140,8 @@ class Session:
             if not self.connected:
                 self._finish_connect()
             elif events & selectors.EVENT_READ:
-                data = leg.sock.recv(RECV_BYTES)
-                if not data:
+                if not leg.fill():
                     raise wire.ConnectionClosed("peer closed")
-                leg.inbuf += data
             self._drive()
         except UpstreamUnavailable as exc:
             log.error("session %d: %s", self.session_id, exc)
@@ -221,11 +173,7 @@ class Session:
     def _flush(self) -> None:
         for leg in (self.client, self.upstream):
             if leg.outbuf:
-                try:
-                    sent = leg.sock.send(leg.outbuf)
-                except BlockingIOError:
-                    continue
-                del leg.outbuf[:sent]
+                leg.drain()
 
     def _handle_frames(self) -> bool:
         """Handle buffered frames until none is complete or the queues are
@@ -253,21 +201,23 @@ class Session:
                     )
         return handled
 
+    def _watch(self, leg: wire.Leg, events: int) -> None:
+        leg.watch(self.proxy._selector, events, (self, leg))
+
     def _update_interest(self) -> None:
         if not self.connected:
-            self.proxy._set_interest(self.upstream, selectors.EVENT_WRITE, self)
+            self._watch(self.upstream, selectors.EVENT_WRITE)
             return
         read = selectors.EVENT_READ if self.queued_bytes() <= MAX_QUEUED_BYTES else 0
         for leg in (self.client, self.upstream):
-            self.proxy._set_interest(
-                leg, read | (selectors.EVENT_WRITE if leg.outbuf else 0), self)
+            self._watch(leg, read | (selectors.EVENT_WRITE if leg.outbuf else 0))
 
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
         for leg in (self.client, self.upstream):
-            self.proxy._set_interest(leg, 0, self)
+            self._watch(leg, 0)
             try:
                 leg.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -375,17 +325,6 @@ class CacheProxy:
                  *self.address, *self.config.upstream,
                  self.config.capacity, self.config.policy.value)
         return self
-
-    def _set_interest(self, leg: _Leg, events: int, session: Session) -> None:
-        if events == leg.events:
-            return
-        if not leg.events:
-            self._selector.register(leg.sock, events, (session, leg))
-        elif not events:
-            self._selector.unregister(leg.sock)
-        else:
-            self._selector.modify(leg.sock, events, (session, leg))
-        leg.events = events
 
     def _accept(self, _events: int) -> None:
         while True:

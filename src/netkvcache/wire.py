@@ -32,6 +32,7 @@ typed ``WireError`` subclass, never an unchecked exception.
 
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -42,6 +43,7 @@ HEADER_SIZE = 25
 HEADER_PREFIX_SIZE = 21
 MANIPULATION_OPCODE = 2013
 DEFAULT_MAX_MESSAGE_BYTES = 16 * 1024 * 1024
+RECV_BYTES = 64 * 1024  # the most one ``Leg.fill`` reads
 # Bound on document nesting accepted by the decoder (stack safety on fuzz
 # input; real traffic nests two or three levels deep).
 MAX_DOCUMENT_DEPTH = 128
@@ -132,6 +134,23 @@ class RawMessage:
     @classmethod
     def from_frame(cls, frame: bytes) -> "RawMessage":
         return cls(header=decode_header(frame[:HEADER_SIZE]), body=frame[HEADER_PREFIX_SIZE:])
+
+
+def make_message(request_id: int, response_to: int, body: bytes) -> RawMessage:
+    """A manipulation message carrying ``body``, with the header's length
+    fields derived from it."""
+    return RawMessage(
+        MessageHeader(
+            length=HEADER_PREFIX_SIZE + len(body),
+            request_id=request_id,
+            response_to=response_to,
+            op_code=MANIPULATION_OPCODE,
+            flags=0,
+            payload_type=0,
+            payload_size=len(body),
+        ),
+        body,
+    )
 
 
 def encode_header(h: MessageHeader) -> bytes:
@@ -356,6 +375,74 @@ class SocketStream:
 
     def flush(self) -> None:
         pass
+
+
+class Leg:
+    """One non-blocking socket of an event loop: the bytes received but not
+    yet framed, and the bytes queued to send.
+
+    It is the stream ``read_message`` reads a buffered frame from, once
+    ``frame_ready`` says the frame is in, and the stream ``write_message``
+    writes into. ``fill`` and ``drain`` move bytes between these buffers
+    and the socket.
+    """
+
+    __slots__ = ("sock", "name", "inbuf", "outbuf", "events")
+
+    def __init__(self, sock: socket.socket, name: str):
+        sock.setblocking(False)
+        # Request/response ping-pong: never let Nagle hold a message back.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.name = name
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.events = 0  # the selector interest currently registered
+
+    def read(self, n: int) -> bytearray:
+        chunk = self.inbuf[:n]
+        del self.inbuf[:n]
+        return chunk
+
+    def write(self, data: bytes) -> None:
+        self.outbuf += data
+
+    def flush(self) -> None:
+        pass
+
+    def frame_ready(self, max_bytes: int = DEFAULT_MAX_MESSAGE_BYTES) -> bool:
+        """True if ``read_message`` can run without waiting for more bytes:
+        the whole frame is buffered, or its length prefix will be rejected."""
+        if len(self.inbuf) < 4:
+            return False
+        length = int.from_bytes(self.inbuf[:4], "little")
+        return len(self.inbuf) >= length or not HEADER_SIZE <= length <= max_bytes
+
+    def fill(self) -> bool:
+        """Append what the socket has to ``inbuf``; False at end of stream."""
+        data = self.sock.recv(RECV_BYTES)
+        self.inbuf += data
+        return bool(data)
+
+    def drain(self) -> None:
+        """Send as much of ``outbuf`` as the socket takes now."""
+        try:
+            sent = self.sock.send(self.outbuf)
+        except BlockingIOError:
+            return
+        del self.outbuf[:sent]
+
+    def watch(self, selector, events: int, data) -> None:
+        """Register, change or drop this socket's interest in ``selector``."""
+        if events == self.events:
+            return
+        if not self.events:
+            selector.register(self.sock, events, data)
+        elif not events:
+            selector.unregister(self.sock)
+        else:
+            selector.modify(self.sock, events, data)
+        self.events = events
 
 
 def _read_exact(stream, n: int) -> bytes:

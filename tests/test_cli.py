@@ -37,7 +37,7 @@ def test_proxy_cli_clean_shutdown_exit_zero():
         [sys.executable, "-m", "netkvcache.cli",
          "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:9",
          "--capacity", "3", "--shutdown-grace", "0.2", "--log-level", "error"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     time.sleep(0.8)
     proc.send_signal(signal.SIGINT)

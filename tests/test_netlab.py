@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+import socket
 import statistics
+import threading
 import time
 
 import pytest
@@ -83,6 +86,30 @@ def test_malformed_document_gets_error_response(server):
     sock.close()
 
 
+def _doc(*elements: bytes) -> bytes:
+    body = b"".join(elements) + b"\x00"
+    return (len(body) + 4).to_bytes(4, "little") + body
+
+
+def test_reply_that_cannot_be_encoded_ends_only_its_connection(server):
+    from netkvcache.wire import ConnectionClosed, make_message, write_message
+
+    # The decoder accepts an empty field name; the encoder refuses it, so
+    # a find of this document fails while its reply is built.
+    unencodable = _doc(b"\x10_id\x00" + (77).to_bytes(4, "little"),
+                       b"\x10\x00" + (1).to_bytes(4, "little"))
+    insert = _doc(b"\x02insert\x00" + (8).to_bytes(4, "little") + b"phrases\x00",
+                  b"\x04documents\x00" + _doc(b"\x030\x00" + unencodable))
+    with ProtocolClient(server.address) as bad, ProtocolClient(server.address) as good:
+        write_message(bad._stream, make_message(1, 0, insert))
+        assert read_message(bad._stream).header.response_to == 1
+        with pytest.raises(ConnectionClosed):
+            bad.find(77)
+        assert good.find(1)["ok"] == 1.0
+    with ProtocolClient(server.address) as later:
+        assert later.find(2)["ok"] == 1.0
+
+
 def test_unknown_command_gets_ok(server):
     with ProtocolClient(server.address) as client:
         assert client.request_doc({"whatsThis": 1})["ok"] == 1.0
@@ -139,6 +166,69 @@ def test_back_to_back_messages_keep_order(server):
         assert elapsed < 4 * 40.0
     finally:
         pipe.stop()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_closed_connections_leave_no_sockets_open(server):
+    pipe = DelayPipe(server.address, oneway_ms=0.0).start()
+    try:
+        before = _open_fds()
+        for key in range(1, 31):
+            with ProtocolClient(pipe.address) as client:
+                assert client.find(key % 20 + 1)["ok"] == 1.0
+        deadline = time.monotonic() + 2.0
+        while _open_fds() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _open_fds() <= before
+    finally:
+        pipe.stop()
+
+
+def test_connections_add_no_threads(server):
+    pipe = DelayPipe(server.address, oneway_ms=1.0).start()
+    clients = []
+    try:
+        before = threading.active_count()
+        for key in range(1, 5):
+            clients.append(ProtocolClient(pipe.address))
+            assert clients[-1].find(key)["ok"] == 1.0
+        assert threading.active_count() == before
+        names = {t.name for t in threading.enumerate()}
+        assert {"pipe-loop", "mock-loop"} <= names
+    finally:
+        for client in clients:
+            client.close()
+        pipe.stop()
+
+
+def test_half_close_through_pipe_still_gets_reply_then_eof(server):
+    pipe = DelayPipe(server.address, oneway_ms=5.0).start()
+    try:
+        with ProtocolClient(pipe.address) as client:
+            request_id = client.send({"find": "phrases", "filter": {"_id": {"$eq": 2}}})
+            client.sock.shutdown(socket.SHUT_WR)
+            assert client.receive_response(request_id).header.response_to == request_id
+            assert client.sock.recv(1) == b""
+    finally:
+        pipe.stop()
+
+
+def test_processing_delay_applies_per_reply_not_per_loop():
+    slow = MockKVServer(keyspace=5, processing_delay=0.3).start()
+    try:
+        with ProtocolClient(slow.address) as a, ProtocolClient(slow.address) as b:
+            t0 = time.perf_counter()
+            ids = (a.send({"find": "phrases", "filter": {"_id": 1}}),
+                   b.send({"find": "phrases", "filter": {"_id": 2}}))
+            a.receive_response(ids[0])
+            b.receive_response(ids[1])
+            elapsed = time.perf_counter() - t0
+        assert 0.3 <= elapsed < 0.5
+    finally:
+        slow.stop()
 
 
 # -- workload ---------------------------------------------------------------------
