@@ -24,14 +24,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", default="noevict",
                         choices=[p.value for p in Policy],
                         help="replacement behavior at capacity (default: noevict)")
-    parser.add_argument("--key-field", default="_id", metavar="NAME",
-                        help="document field treated as the unique key (default: _id)")
     parser.add_argument("--log-level", default="info", choices=sorted(LOG_LEVELS),
                         help="log verbosity (default: info)")
-    parser.add_argument("--stats-interval", default=0.0, type=float, metavar="SECS",
-                        help="seconds between statistics records; 0 disables (default: 0)")
+    parser.add_argument("--stats-interval", default=1.0, type=float, metavar="SECS",
+                        help="seconds between statistics rows, > 0 (default: 1)")
     parser.add_argument("--stats-out", default=None, metavar="FILE.csv",
-                        help="write periodic statistics to this CSV file")
+                        help="write a statistics row to this CSV file every interval")
     parser.add_argument("--max-message-bytes", default=DEFAULT_MAX_MESSAGE_BYTES,
                         type=int, metavar="N",
                         help="reject messages larger than this (default: 16 MiB)")
@@ -42,15 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.capacity < 0:
-        print("error: --capacity must be >= 0", file=sys.stderr)
-        return 2
     config = ProxyConfig(
         listen=parse_address(args.listen),
         upstream=parse_address(args.upstream),
         capacity=args.capacity,
         policy=Policy.parse(args.policy),
-        key_field=args.key_field,
         log_level=args.log_level,
         stats_interval=args.stats_interval,
         stats_out=args.stats_out,

@@ -44,9 +44,10 @@ _KEYWORD_KINDS = {
 class Command:
     """A parsed manipulation request.
 
-    ``key`` is set only when a unique-key equality filter was extracted;
+    ``key`` is set only when an ``_id`` equality filter was extracted;
     insert never carries one, and anything unparseable degrades to
-    BYPASS with the raw message untouched.
+    BYPASS with the raw message untouched. The store keys an entry by
+    ``collection`` and ``key`` together.
     """
 
     kind: CommandKind
@@ -95,18 +96,16 @@ class PendingTable:
         return len(self._entries)
 
 
-def extract_key(filter_doc: Any, key_field: str = "_id") -> CacheKey | None:
-    """Extract the unique-key equality value from a filter document.
+def extract_key(filter_doc: Any) -> CacheKey | None:
+    """Extract the ``_id`` equality value from a filter document.
 
-    Recognizes exactly ``{key_field: scalar}`` and
-    ``{key_field: {"$eq": scalar}}`` with no other fields present; range
-    operators, compound filters, and non-scalar values return None.
+    Recognizes exactly ``{"_id": scalar}`` and ``{"_id": {"$eq": scalar}}``
+    with no other fields present; range operators, compound filters, and
+    non-scalar values return None.
     """
-    if not isinstance(filter_doc, dict) or len(filter_doc) != 1:
+    if not isinstance(filter_doc, dict) or len(filter_doc) != 1 or "_id" not in filter_doc:
         return None
-    value = filter_doc.get(key_field)
-    if value is None and key_field not in filter_doc:
-        return None
+    value = filter_doc["_id"]
     if isinstance(value, dict):
         if len(value) != 1 or "$eq" not in value:
             return None
@@ -116,7 +115,14 @@ def extract_key(filter_doc: Any, key_field: str = "_id") -> CacheKey | None:
     return canonical_key(value)
 
 
-def _statement_key(body: dict, field: str, key_field: str) -> tuple[CacheKey | None, bool]:
+def store_key(collection: str, key: CacheKey) -> CacheKey:
+    """The length-prefixed collection name, then ``key``: one ``_id`` in
+    two collections names two store entries."""
+    name = collection.encode()
+    return len(name).to_bytes(4, "little") + name + key
+
+
+def _statement_key(body: dict, field: str) -> tuple[CacheKey | None, bool]:
     """Key from a write's single statement list; (None, False) if multi-statement."""
     statements = body.get(field)
     if not isinstance(statements, list) or len(statements) != 1:
@@ -124,10 +130,10 @@ def _statement_key(body: dict, field: str, key_field: str) -> tuple[CacheKey | N
     statement = statements[0]
     if not isinstance(statement, dict):
         return None, False
-    return extract_key(statement.get("q"), key_field), True
+    return extract_key(statement.get("q")), True
 
 
-def parse_command(m: RawMessage, key_field: str = "_id") -> Command:
+def parse_command(m: RawMessage) -> Command:
     """Parse a manipulation-flow message into a Command.
 
     Degenerate input never raises: undecodable bodies, unknown shapes,
@@ -145,11 +151,11 @@ def parse_command(m: RawMessage, key_field: str = "_id") -> Command:
         return Command(CommandKind.BYPASS, None, "", m)
     collection = body[first] if isinstance(body[first], str) else ""
     if kind is CommandKind.FIND:
-        return Command(kind, extract_key(body.get("filter"), key_field), collection, m)
+        return Command(kind, extract_key(body.get("filter")), collection, m)
     if kind is CommandKind.INSERT:
         return Command(kind, None, collection, m)
     field = "updates" if kind is CommandKind.UPDATE else "deletes"
-    key, single = _statement_key(body, field, key_field)
+    key, single = _statement_key(body, field)
     if not single:
         return Command(CommandKind.BYPASS, None, collection, m)
     return Command(kind, key, collection, m)
@@ -203,21 +209,22 @@ def handle_client(
     before forwarding — keyed writes their key, unkeyed writes the whole
     store. Everything else forwards untracked as a bypass.
     """
-    if cmd.kind is CommandKind.FIND and cmd.key is not None:
-        result = store.get(cmd.key)
+    key = None if cmd.key is None else store_key(cmd.collection, cmd.key)
+    if cmd.kind is CommandKind.FIND and key is not None:
+        result = store.get(key)
         if isinstance(result, Hit):
             send_downstream(synthesize_response(cmd.raw, result.body, next_id))
             return
         # Track before forwarding so the response can never race the entry.
-        pending.track_find(cmd.raw.header.request_id, cmd.key, result.token)
+        pending.track_find(cmd.raw.header.request_id, key, result.token)
         send_upstream(cmd.raw)
         return
     if cmd.kind in (CommandKind.UPDATE, CommandKind.DELETE):
-        if cmd.key is not None:
-            store.invalidate(cmd.key)
+        if key is not None:
+            store.invalidate(key)
         else:
             store.invalidate_all()
-        pending.track_write(cmd.raw.header.request_id, cmd.key)
+        pending.track_write(cmd.raw.header.request_id, key)
         send_upstream(cmd.raw)
         return
     store.record_bypass()

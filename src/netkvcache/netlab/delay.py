@@ -29,19 +29,17 @@ from .. import wire
 log = logging.getLogger(__name__)
 
 # time.sleep() on a loaded box overshoots by hundreds of microseconds,
-# which would swamp sub-10ms emulated delays. Sleep coarsely to within
-# this margin of the deadline, then yield-spin the final stretch. The
-# loop's select() likewise waits only until this margin before a due
-# time, because epoll rounds its timeout up to whole milliseconds.
+# and epoll rounds its timeout up to whole milliseconds; either would
+# swamp sub-10ms emulated delays. So the loop's select() waits only until
+# this margin before a due time, then the loop yield-spins the final
+# stretch, polling its sockets so that a frame arriving meanwhile is
+# stamped when it arrives.
 _SPIN_WINDOW_S = 0.002
 
 
 def _sleep_until(deadline: float) -> None:
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        time.sleep(remaining - _SPIN_WINDOW_S if remaining > _SPIN_WINDOW_S else 0)
+    while time.perf_counter() < deadline:
+        time.sleep(0)
 
 
 @dataclass(slots=True, eq=False)
@@ -116,15 +114,18 @@ class RouteLoop:
         while not self._stopping:
             timeout = None
             if due:
-                timeout = max(0.0, due[0][0] - time.perf_counter() - _SPIN_WINDOW_S)
+                timeout = due[0][0] - time.perf_counter() - _SPIN_WINDOW_S
+                if timeout <= 0:
+                    timeout = 0
+                    time.sleep(0)  # spinning: yield, then poll the sockets
             for key, events in self._selector.select(timeout):
                 if isinstance(key.data, wire.Leg):
                     self._on_event(key.data, events)
                 else:
                     key.data()
-            while due and due[0][0] - time.perf_counter() <= _SPIN_WINDOW_S:
+            while due and due[0][0] <= time.perf_counter():
                 at, _, route, m = heapq.heappop(due)
-                _sleep_until(at)
+                _sleep_until(at)  # already due; perfbench hooks it to record `at`
                 self._deliver(route, m)
         for leg in self._reader:
             leg.sock.close()

@@ -3,8 +3,9 @@
 Serves a seeded table of keys 1..keyspace. Reads answer with a cursor
 document (`firstBatch` holding the record, or empty for unknown keys);
 writes mutate the in-memory table; anything unrecognized gets a minimal
-`ok` acknowledgment so coordination traffic flows. Find responses are
-pre-encoded per key and the encoding cache dropped on writes, keeping
+`ok` acknowledgment so coordination traffic flows. The table is shared
+by every collection. Find responses are pre-encoded per key and
+namespace, and a key's encodings are dropped on writes, keeping
 serialization noise out of latency measurements.
 """
 
@@ -51,7 +52,7 @@ class MockKVServer(RouteLoop):
                 "_id": k,
                 "phrase": _seeded_phrase(rng, doc_size),
             }
-        self._encoded_responses: dict[bytes, bytes] = {}
+        self._encoded_responses: dict[bytes, dict[str, bytes]] = {}  # key -> ns -> reply
         self.transcripts: list[dict[str, list[bytes]]] = []
 
     def _routes(self, sock: socket.socket) -> list[Route]:
@@ -91,18 +92,19 @@ class MockKVServer(RouteLoop):
         return wire.encode_document({"ok": 1.0})
 
     def _find(self, body: dict) -> bytes:
-        collection = body.get("find", "")
+        ns = f"kv.{body.get('find', '')}"
         key = extract_key(body.get("filter"))
-        if key is not None and key in self._encoded_responses:
-            return self._encoded_responses[key]
+        encoded = self._encoded_responses.get(key, {}).get(ns)
+        if encoded is not None:
+            return encoded
         doc = self._table.get(key) if key is not None else None
         batch = [dict(doc)] if doc is not None else []
         encoded = wire.encode_document({
-            "cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"},
+            "cursor": {"firstBatch": batch, "id": 0, "ns": ns},
             "ok": 1.0,
         })
-        if key is not None and doc is not None:
-            self._encoded_responses[key] = encoded
+        if doc is not None:
+            self._encoded_responses.setdefault(key, {})[ns] = encoded
         return encoded
 
     def _insert(self, body: dict) -> bytes:

@@ -66,7 +66,6 @@ class ScenarioConfig:
     seed: int = 42
     doc_size: int = 200
     server_seed: int = 1234
-    stats_interval: float = 1.0
     out_dir: str | None = None
 
     @classmethod
@@ -111,7 +110,9 @@ class ScenarioResult:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one scenario cell end to end and collect its metrics."""
     delays = cfg.scaled_delays
-    stats_rows = None
+    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         server = MockKVServer(
             keyspace=cfg.keyspace, seed=cfg.server_seed, doc_size=cfg.doc_size
@@ -131,7 +132,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 upstream=upstream,
                 capacity=cfg.capacity,
                 policy=cfg.policy,
-                stats_interval=cfg.stats_interval,
+                stats_out=str(out_dir / "stats.csv") if out_dir else None,
                 shutdown_grace=1.0,
             )).start()
             stack.callback(proxy.stop)
@@ -166,17 +167,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     cfg.name, counts.get("hit", 0), counts.get("miss", 0),
                     stats.hits, stats.misses,
                 )
-            if proxy.stats_emitter is not None:
-                stats_rows = proxy.stats_emitter.records
 
     result = ScenarioResult(cfg, report)
-    if cfg.out_dir:
-        write_outputs(Path(cfg.out_dir), result, stats_rows)
+    if out_dir is not None:
+        write_outputs(out_dir, result)
     return result
 
 
-def write_outputs(out_dir: Path, result: ScenarioResult, stats_rows=None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_outputs(out_dir: Path, result: ScenarioResult) -> None:
+    """Write a cell's result files; a cached cell's proxy wrote stats.csv."""
     report = result.report
 
     with open(out_dir / "requests.csv", "w", newline="") as f:
@@ -191,10 +190,9 @@ def write_outputs(out_dir: Path, result: ScenarioResult, stats_rows=None) -> Non
         for second, count in report.throughput_series():
             writer.writerow([second, count])
 
-    with open(out_dir / "stats.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=STATS_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(stats_rows or [])
+    if not result.config.with_cache:
+        with open(out_dir / "stats.csv", "w", newline="") as f:
+            csv.writer(f).writerow(STATS_CSV_COLUMNS)  # the header alone
 
     (out_dir / "summary.txt").write_text(summarize_single(result))
 

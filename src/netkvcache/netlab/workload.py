@@ -28,7 +28,6 @@ class WorkloadConfig:
     keyspace: int = 100
     seed: int = 42
     collection: str = "phrases"
-    key_field: str = "_id"
     request_timeout_s: float = 10.0
     hello: bool = True
 
@@ -219,10 +218,8 @@ class ProtocolClient:
     def request_doc(self, body_doc: dict) -> dict:
         return wire.decode_document(self.request(body_doc).body)
 
-    def find(self, key, collection: str = "phrases", key_field: str = "_id") -> dict:
-        return self.request_doc(
-            {"find": collection, "filter": {key_field: {"$eq": key}}}
-        )
+    def find(self, key, collection: str = "phrases") -> dict:
+        return self.request_doc({"find": collection, "filter": {"_id": {"$eq": key}}})
 
 
 def run_workload(
@@ -245,7 +242,7 @@ def run_workload(
             client.request_doc({"hello": 1, "client": "netlab"})
         started = time.perf_counter()
         for seq, key in enumerate(keys):
-            body = {"find": cfg.collection, "filter": {cfg.key_field: {"$eq": key}}}
+            body = {"find": cfg.collection, "filter": {"_id": {"$eq": key}}}
             t0 = time.perf_counter()
             outcome = outcomes[seq]
             try:

@@ -6,9 +6,9 @@ Every session runs on one thread: a ``selectors`` loop, started by
 their read buffers and write queues, and each session's pending table.
 Nothing the loop owns is touched from another thread, so none of it needs
 a lock. Upstream connects are non-blocking, so a slow or hanging upstream
-holds up only its own session. The one other proxy thread is the
-optional ``StatsEmitter``; it reads the ``CacheStore``, which keeps its
-lock because callers outside the loop read it too.
+holds up only its own session. The loop also takes the statistics rows
+and writes each to ``stats_out`` as it is taken. The ``CacheStore`` keeps
+its lock because callers outside the loop read it too.
 
 Coordination traffic is relayed byte-identically; manipulation traffic
 goes through the engine, which may answer reads locally without
@@ -60,9 +60,8 @@ class ProxyConfig:
     upstream: tuple[str, int]
     capacity: int
     policy: Policy = Policy.NOEVICT
-    key_field: str = "_id"
     log_level: str = "info"
-    stats_interval: float = 0.0
+    stats_interval: float = 1.0  # seconds between rows written to stats_out
     stats_out: str | None = None
     max_message_bytes: int = wire.DEFAULT_MAX_MESSAGE_BYTES
     shutdown_grace: float = 5.0
@@ -127,9 +126,6 @@ class Session:
     def _send_downstream(self, m: wire.RawMessage) -> None:
         wire.write_message(self.client, m)
 
-    def _next_response_id(self) -> int:
-        return next(self._ids)
-
     # -- the loop's entry points -----------------------------------------
 
     def on_event(self, leg: wire.Leg, events: int) -> None:
@@ -191,13 +187,12 @@ class Session:
                 elif flows.classify_client(m) is flows.FlowClass.COORDINATION:
                     self._send_upstream(m)
                 else:
-                    cmd = engine.parse_command(m, cfg.key_field)
+                    cmd = engine.parse_command(m)
                     log.debug("session %d: client %s key=%s",
                               self.session_id, cmd.kind.value, cmd.key)
                     engine.handle_client(
                         cmd, self.proxy.store, self.pending,
-                        self._send_upstream, self._send_downstream,
-                        self._next_response_id,
+                        self._send_upstream, self._send_downstream, self._ids.__next__,
                     )
         return handled
 
@@ -228,60 +223,12 @@ class Session:
         log.info("session %d: done", self.session_id)
 
 
-class StatsEmitter:
-    """Periodic cache statistics records, kept in memory and/or as CSV."""
-
-    def __init__(self, store: CacheStore, interval: float, path: str | None = None):
-        if interval <= 0:
-            raise ValueError("stats interval must be positive")
-        self.store = store
-        self.interval = interval
-        self.path = path
-        self.records: list[dict] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="stats-emitter", daemon=True)
-
-    def start(self) -> "StatsEmitter":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=self.interval + 2.0)
-        if self.path:
-            self._write_csv()
-
-    def _run(self) -> None:
-        last = self.store.snapshot_stats()
-        while not self._stop.wait(self.interval):
-            now = self.store.snapshot_stats()
-            requests = (now.hits + now.misses + now.bypasses) - (
-                last.hits + last.misses + last.bypasses
-            )
-            self.records.append({
-                "ts": time.time(),
-                "hits": now.hits,
-                "misses": now.misses,
-                "bypasses": now.bypasses,
-                "fills": now.fills,
-                "rejected_fills": now.rejected_fills,
-                "invalidations": now.invalidations,
-                "entries": self.store.entry_count(),
-                "rps": round(requests / self.interval, 3),
-            })
-            last = now
-
-    def _write_csv(self) -> None:
-        with open(self.path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=STATS_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(self.records)
-
-
 class CacheProxy:
     """The listening proxy; owns the shared store and all sessions."""
 
     def __init__(self, config: ProxyConfig):
+        if not config.stats_interval > 0:
+            raise ValueError("stats interval must be positive")
         self.config = config
         self.store = CacheStore(config.capacity, config.policy)
         self._listener: socket.socket | None = None
@@ -290,7 +237,8 @@ class CacheProxy:
         self._session_ids = itertools.count(1)
         self._loop_thread: threading.Thread | None = None
         self._stop_at: float | None = None
-        self.stats_emitter: StatsEmitter | None = None
+        self._stats_file = None  # stats_out, open from start() to stop()
+        self._stats: csv.DictWriter | None = None  # None while no rows are taken
 
     @property
     def address(self) -> tuple[str, int]:
@@ -307,6 +255,16 @@ class CacheProxy:
         except OSError as exc:
             listener.close()
             raise BindFailure(f"cannot bind {self.config.listen}: {exc}") from exc
+        if self.config.stats_out:
+            try:
+                self._stats_file = open(self.config.stats_out, "w", newline="")
+            except OSError:
+                listener.close()
+                raise
+            self._stats = csv.DictWriter(self._stats_file, fieldnames=STATS_CSV_COLUMNS)
+            self._put_stats_row(dict(zip(STATS_CSV_COLUMNS, STATS_CSV_COLUMNS)))  # the header
+            self._last_stats = self.store.snapshot_stats()
+            self._stats_due = time.monotonic() + self.config.stats_interval
         listener.setblocking(False)
         self._listener = listener
         self._selector = selectors.DefaultSelector()
@@ -315,10 +273,6 @@ class CacheProxy:
         self._wake_r, self._wake_w = socket.socketpair()
         self._selector.register(self._wake_r, selectors.EVENT_READ,
                                 lambda _events: self._wake_r.recv(64))
-        if self.config.stats_interval > 0:
-            self.stats_emitter = StatsEmitter(
-                self.store, self.config.stats_interval, self.config.stats_out
-            ).start()
         self._loop_thread = threading.Thread(target=self._run, name="proxy-loop", daemon=True)
         self._loop_thread.start()
         log.info("listening on %s:%d, upstream %s:%d, capacity %d, policy %s",
@@ -355,6 +309,10 @@ class CacheProxy:
                           session.session_id, self.config.upstream)
                 session.close()
             deadlines = [s.connect_deadline for s in self._connecting]
+            if self._stats is not None:
+                if now >= self._stats_due:
+                    self._write_stats_row(now)
+                deadlines.append(self._stats_due)
             if self._stop_at is not None:
                 if self._listener.fileno() >= 0:
                     self._selector.unregister(self._listener)
@@ -373,6 +331,30 @@ class CacheProxy:
             session.close()
         self._selector.close()
 
+    def _write_stats_row(self, now: float) -> None:
+        interval = self.config.stats_interval
+        self._stats_due += interval
+        if self._stats_due <= now:  # the loop fell a whole interval behind
+            self._stats_due = now + interval
+        stats, last = self.store.snapshot_stats(), self._last_stats
+        requests = (stats.hits + stats.misses + stats.bypasses) - (
+            last.hits + last.misses + last.bypasses
+        )
+        self._put_stats_row(vars(stats) | {
+            "ts": time.time(), "entries": self.store.entry_count(),
+            "rps": round(requests / interval, 3),
+        })
+        self._last_stats = stats
+
+    def _put_stats_row(self, row: dict) -> None:
+        """Write and flush one row; a file that fails stops the rows, not the proxy."""
+        try:
+            self._stats.writerow(row)
+            self._stats_file.flush()
+        except OSError as exc:
+            log.error("no more stats rows to %s: %s", self.config.stats_out, exc)
+            self._stats = None
+
     def session_count(self) -> int:
         return len(self._sessions)
 
@@ -385,8 +367,8 @@ class CacheProxy:
             self._loop_thread.join()
             self._wake_r.close()
             self._wake_w.close()
-        if self.stats_emitter is not None:
-            self.stats_emitter.stop()
+        if self._stats_file is not None:
+            self._stats_file.close()
 
 
 def run_proxy(config: ProxyConfig) -> int:
@@ -400,6 +382,9 @@ def run_proxy(config: ProxyConfig) -> int:
     except BindFailure as exc:
         log.error("%s", exc)
         return 1
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
     stop_requested = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: stop_requested.set())

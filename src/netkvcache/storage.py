@@ -7,8 +7,8 @@ token it obtained at miss time, which rejects any fill that an
 invalidation overtook while the server round trip was in flight.
 
 All operations are linearizable: a single lock guards every mutation and
-read. The proxy's loop thread is the only writer, but the stats thread
-and callers outside the loop read the store while it runs.
+read. The proxy's loop thread is the only writer, but callers outside
+the loop, such as the lab and the tests, read the store while it runs.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ _CELLS: dict[str, ScenarioResult] = {}
 def _config(key: str) -> ScenarioConfig:
     base = dict(
         batches=BATCHES, per_batch=PER_BATCH, keyspace=100,
-        time_scale=TIME_SCALE, seed=SEED, stats_interval=0.0,
+        time_scale=TIME_SCALE, seed=SEED,
     )
     scenario, _, variant = key.partition("/")
     if scenario == "A0":

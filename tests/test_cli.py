@@ -17,6 +17,17 @@ def test_proxy_cli_rejects_negative_capacity(capsys):
     assert rc == 2
 
 
+def test_proxy_cli_rejects_nonpositive_stats_interval(tmp_path):
+    # A child process, so a proxy that wrongly starts cannot hang the suite.
+    done = subprocess.run(
+        [sys.executable, "-m", "netkvcache.cli",
+         "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1", "--capacity", "1",
+         "--stats-interval", "0", "--stats-out", str(tmp_path / "stats.csv")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=10,
+    )
+    assert done.returncode == 2
+
+
 def test_proxy_cli_bind_failure_exit_code():
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))
@@ -43,6 +54,25 @@ def test_proxy_cli_clean_shutdown_exit_zero():
     proc.send_signal(signal.SIGINT)
     rc = proc.wait(timeout=5)
     assert rc == 0
+
+
+def test_proxy_cli_stats_rows_survive_sigkill(tmp_path):
+    path = tmp_path / "stats.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "netkvcache.cli",
+         "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:9", "--capacity", "3",
+         "--stats-interval", "0.05", "--stats-out", str(path), "--log-level", "error"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 10.0
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.5)
+    proc.kill()
+    proc.wait(timeout=5)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "ts,hits,misses,bypasses,fills,rejected_fills,invalidations,entries,rps"
+    assert len(lines) >= 3
 
 
 def test_netlab_cli_run_tiny(capsys, tmp_path):

@@ -11,6 +11,7 @@ from netkvcache.engine import (
     handle_server,
     parse_command,
     response_is_cacheable,
+    store_key,
     synthesize_response,
 )
 from netkvcache.storage import CacheStore, canonical_key
@@ -59,10 +60,6 @@ def test_extract_key_wrong_field_is_none():
 def test_extract_key_non_scalar_is_none():
     assert extract_key({"_id": {"$eq": {"nested": 1}}}) is None
     assert extract_key({"_id": [1, 2]}) is None
-
-
-def test_extract_key_custom_field():
-    assert extract_key({"sku": "ab-1"}, key_field="sku") == canonical_key("ab-1")
 
 
 def test_extract_key_null_scalar():
@@ -183,8 +180,8 @@ def engine_env(capacity=10):
     return store, pending, upstream, downstream, (lambda: next(ids))
 
 
-def drive_client(m, store, pending, upstream, downstream, next_id, key_field="_id"):
-    handle_client(parse_command(m, key_field), store, pending, upstream, downstream, next_id)
+def drive_client(m, store, pending, upstream, downstream, next_id):
+    handle_client(parse_command(m), store, pending, upstream, downstream, next_id)
 
 
 def test_second_find_served_locally_single_upstream_forward():
@@ -285,14 +282,15 @@ def test_write_ack_reinvalidates_key():
 
     # A concurrent miss takes its token between the write and its ack;
     # the ack-side invalidation must reject that fill.
-    result = store.get(canonical_key(5))
+    result = store.get(store_key("p", canonical_key(5)))
     ack = message({"n": 1, "nModified": 1, "ok": 1.0}, request_id=900, response_to=1)
     handle_server(ack, store, pending, downstream)
     assert downstream.sent == [ack]
     assert len(pending) == 0
 
     from netkvcache.storage import PutOutcome
-    assert store.put(canonical_key(5), b"stale", result.token) is PutOutcome.REJECTED_STALE
+    assert store.put(store_key("p", canonical_key(5)), b"stale",
+                     result.token) is PutOutcome.REJECTED_STALE
 
 
 def test_pending_empty_after_quiesce():

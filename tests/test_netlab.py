@@ -216,6 +216,31 @@ def test_half_close_through_pipe_still_gets_reply_then_eof(server):
         pipe.stop()
 
 
+def test_frame_arriving_while_pipe_spins_is_not_delayed(server):
+    # The late client's request reaches the pipe inside the spin window
+    # before the early client's delivery; it must be stamped on arrival.
+    pipe = DelayPipe(server.address, oneway_ms=10.0).start()
+    find = {"find": "phrases", "filter": {"_id": {"$eq": 1}}}
+    solo, paired = [], []
+    try:
+        with ProtocolClient(pipe.address) as early, ProtocolClient(pipe.address) as late:
+            early.request(find)
+            late.request(find)
+            for _ in range(40):
+                for rtts in (solo, paired):
+                    early_id = early.send(find) if rtts is paired else None
+                    if early_id is not None:
+                        time.sleep(0.009)
+                    t0 = time.perf_counter()
+                    late.request(find)
+                    rtts.append((time.perf_counter() - t0) * 1000)
+                    if early_id is not None:
+                        early.receive_response(early_id)
+    finally:
+        pipe.stop()
+    assert abs(statistics.median(paired) - statistics.median(solo)) <= 0.5
+
+
 def test_processing_delay_applies_per_reply_not_per_loop():
     slow = MockKVServer(keyspace=5, processing_delay=0.3).start()
     try:
@@ -268,7 +293,6 @@ def tiny_config(**overrides) -> ScenarioConfig:
     base = dict(
         name="custom", delays=DelaySpec(0.5, 2.0), capacity=10,
         keyspace=10, batches=2, per_batch=50, seed=5,
-        stats_interval=0.0,
     )
     base.update(overrides)
     return ScenarioConfig(**base)

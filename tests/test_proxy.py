@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import socket
 import threading
 import time
@@ -8,9 +9,7 @@ import pytest
 
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
-from netkvcache.proxy import (
-    MAX_QUEUED_BYTES, BindFailure, CacheProxy, ProxyConfig, StatsEmitter,
-)
+from netkvcache.proxy import MAX_QUEUED_BYTES, BindFailure, CacheProxy, ProxyConfig
 from netkvcache.storage import Policy
 from netkvcache.wire import ConnectionClosed, SocketStream, read_message
 
@@ -104,6 +103,24 @@ def test_client_disconnect_mid_flight_drops_pending_and_fill():
         slow.stop()
 
 
+def test_cache_keys_are_scoped_by_collection(server):
+    proxy = start_proxy(server.address)
+    fresh = MockKVServer(keyspace=50).start()
+    find_b = {"find": "b", "filter": {"_id": {"$eq": 5}}}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.find(5, collection="a")
+            got = client.request(find_b)
+        with ProtocolClient(fresh.address) as direct:
+            expected = direct.request(find_b)
+        assert got.body == expected.body
+        stats = proxy.store.snapshot_stats()
+        assert (stats.hits, stats.misses) == (0, 2)
+    finally:
+        proxy.stop(grace=0.2)
+        fresh.stop()
+
+
 def test_coordination_traffic_passes_byte_identically(server):
     proxy = start_proxy(server.address)
     try:
@@ -191,28 +208,40 @@ def test_bind_failure_raises():
         blocker.close()
 
 
-def test_stats_emitter_idle_records_and_snapshot_agreement(server):
-    proxy = start_proxy(server.address)
-    emitter = StatsEmitter(proxy.store, interval=0.1)
-    emitter.start()
+def test_stats_rows_idle_and_snapshot_agreement(tmp_path, server):
+    path = tmp_path / "stats.csv"
+    proxy = start_proxy(server.address, stats_interval=0.1, stats_out=str(path))
     try:
         time.sleep(0.35)
+        assert len(path.read_text().splitlines()) >= 3  # rows reach the file at once
         with ProtocolClient(proxy.address) as client:
             for key in (1, 1, 2):
                 client.find(key)
         time.sleep(0.25)
     finally:
-        emitter.stop()
         proxy.stop(grace=0.2)
-    assert len(emitter.records) >= 3
-    assert emitter.records[0]["rps"] == 0.0 and emitter.records[0]["hits"] == 0
-    last = emitter.records[-1]
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) >= 3
+    assert float(rows[0]["rps"]) == 0.0 and int(rows[0]["hits"]) == 0
+    last = rows[-1]
     stats = proxy.store.snapshot_stats()
-    assert last["hits"] == stats.hits == 1
-    assert last["misses"] == stats.misses == 2
+    assert int(last["hits"]) == stats.hits == 1
+    assert int(last["misses"]) == stats.misses == 2
     # per-interval deltas reassemble the workload total
-    total = round(sum(r["rps"] for r in emitter.records) * emitter.interval)
+    total = round(sum(float(r["rps"]) for r in rows) * 0.1)
     assert total == stats.hits + stats.misses + stats.bypasses == 3
+
+
+def test_stats_file_that_fails_stops_rows_not_the_proxy(server):
+    proxy = start_proxy(server.address, stats_interval=0.05, stats_out="/dev/full")
+    try:
+        time.sleep(0.15)  # rows fall due on the loop thread
+        with ProtocolClient(proxy.address) as client:
+            assert client.find(1)["ok"] == 1.0
+    finally:
+        with pytest.raises(OSError):  # closing cannot write what the file refused
+            proxy.stop(grace=0.2)
 
 
 def test_stats_csv_written(tmp_path, server):
@@ -244,16 +273,17 @@ def _non_mock_threads() -> int:
     return sum(1 for t in threading.enumerate() if not t.name.startswith("mock-"))
 
 
-def test_all_sessions_share_one_loop_thread(server):
+def test_all_sessions_share_one_loop_thread(tmp_path, server):
     before = _non_mock_threads()
-    proxy = start_proxy(server.address, stats_interval=0.1)
+    proxy = start_proxy(server.address, stats_interval=0.1,
+                        stats_out=str(tmp_path / "stats.csv"))
     clients = []
     try:
         for key in range(1, 5):
             clients.append(ProtocolClient(proxy.address))
             assert clients[-1].find(key)["ok"] == 1.0
         assert proxy.session_count() == 4
-        assert _non_mock_threads() - before <= 2  # the loop and the stats emitter
+        assert _non_mock_threads() - before <= 1  # the loop, which also takes the stats rows
     finally:
         for client in clients:
             client.close()
