@@ -7,7 +7,6 @@ import sys
 
 from .proxy import LOG_LEVELS, ProxyConfig, parse_address, run_proxy
 from .storage import Policy
-from .wire import DEFAULT_MAX_MESSAGE_BYTES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,9 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds between statistics rows, > 0 (default: 1)")
     parser.add_argument("--stats-out", default=None, metavar="FILE.csv",
                         help="write a statistics row to this CSV file every interval")
-    parser.add_argument("--max-message-bytes", default=DEFAULT_MAX_MESSAGE_BYTES,
-                        type=int, metavar="N",
-                        help="reject messages larger than this (default: 16 MiB)")
     parser.add_argument("--shutdown-grace", default=5.0, type=float, metavar="SECS",
                         help="drain period before sessions are closed on shutdown")
     return parser
@@ -48,7 +44,6 @@ def main(argv: list[str] | None = None) -> int:
         log_level=args.log_level,
         stats_interval=args.stats_interval,
         stats_out=args.stats_out,
-        max_message_bytes=args.max_message_bytes,
         shutdown_grace=args.shutdown_grace,
     )
     return run_proxy(config)

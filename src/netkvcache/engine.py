@@ -201,16 +201,18 @@ def handle_client(
     send_upstream: Send,
     send_downstream: Send,
     next_id: Callable[[], int],
+    owed: bool = False,
 ) -> None:
     """Process one parsed client command.
 
     Reads with a key are answered locally on a hit (nothing goes
     upstream) or tracked and forwarded on a miss. Writes invalidate
     before forwarding — keyed writes their key, unkeyed writes the whole
-    store. Everything else forwards untracked as a bypass.
+    store. Everything else forwards untracked as a bypass, and so does a
+    keyed read while a reply is ``owed``, which a local hit would overtake.
     """
     key = None if cmd.key is None else store_key(cmd.collection, cmd.key)
-    if cmd.kind is CommandKind.FIND and key is not None:
+    if cmd.kind is CommandKind.FIND and key is not None and not owed:
         result = store.get(key)
         if isinstance(result, Hit):
             send_downstream(synthesize_response(cmd.raw, result.body, next_id))

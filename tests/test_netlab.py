@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from netkvcache.loop import MAX_QUEUED_BYTES
 from netkvcache.netlab.delay import DelayPipe
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.scenario import (
@@ -25,7 +26,7 @@ from netkvcache.netlab.workload import (
     key_sequence,
     simulate_outcomes,
 )
-from netkvcache.wire import encode_document, read_message
+from netkvcache.wire import encode_document, make_message, read_message
 
 
 @pytest.fixture
@@ -214,6 +215,35 @@ def test_half_close_through_pipe_still_gets_reply_then_eof(server):
             assert client.sock.recv(1) == b""
     finally:
         pipe.stop()
+
+
+def test_pipe_holds_little_for_a_peer_that_never_reads():
+    sink = socket.socket()  # accepts nothing and reads nothing
+    sink.bind(("127.0.0.1", 0))
+    sink.listen(1)
+    pipe = DelayPipe(sink.getsockname()[:2], oneway_ms=0.0).start()
+    frame = make_message(1, 0, bytes(64 * 1024)).to_bytes()
+    # Loopback socket buffers take several MiB, so write until the
+    # client is held back, or at most 32 MiB.
+    limit, sent, peak, blocked_at = 32 << 20, 0, 0, None
+    try:
+        with socket.create_connection(pipe.address) as client:
+            client.setblocking(False)
+            while sent < limit:
+                try:
+                    sent += client.send(frame[sent % len(frame):])
+                    blocked_at = None
+                except BlockingIOError:
+                    blocked_at = blocked_at or time.monotonic()
+                    if time.monotonic() - blocked_at > 0.3:
+                        break
+                    time.sleep(0.005)
+                peak = max([peak] + [c.queued_bytes() for c in list(pipe._connections)])
+    finally:
+        pipe.stop()
+        sink.close()
+    assert sent < limit  # the client was held back, not the pipe's memory
+    assert MAX_QUEUED_BYTES <= peak <= MAX_QUEUED_BYTES + len(frame)
 
 
 def test_frame_arriving_while_pipe_spins_is_not_delayed(server):

@@ -7,10 +7,12 @@ import time
 
 import pytest
 
+from netkvcache.engine import store_key
+from netkvcache.loop import MAX_QUEUED_BYTES
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
-from netkvcache.proxy import MAX_QUEUED_BYTES, BindFailure, CacheProxy, ProxyConfig
-from netkvcache.storage import Policy
+from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
+from netkvcache.storage import Policy, canonical_key
 from netkvcache.wire import ConnectionClosed, SocketStream, read_message
 
 
@@ -87,20 +89,75 @@ def test_upstream_down_closes_client_but_proxy_survives(server):
         proxy.stop(grace=0.2)
 
 
-def test_client_disconnect_mid_flight_drops_pending_and_fill():
+def test_client_disconnect_mid_flight_releases_session():
     slow = MockKVServer(keyspace=10, processing_delay=0.4).start()
     proxy = start_proxy(slow.address)
+    find = {"find": "phrases", "filter": {"_id": {"$eq": 1}}}
     try:
         client = ProtocolClient(proxy.address)
-        client.send({"find": "phrases", "filter": {"_id": {"$eq": 1}}})
+        client.send(find)
         time.sleep(0.05)  # let the proxy forward the miss upstream
         client.close()
-        time.sleep(0.8)   # response arrives after the session died
-        assert proxy.store.entry_count() == 0
+        time.sleep(0.8)   # response arrives after the client closed
         assert proxy.session_count() == 0
+        # A closed client looks half-closed, so the reply was still
+        # relayed; the store holds exactly what the server answered.
+        stored = proxy.store.get(store_key("phrases", canonical_key(1)))
+        with ProtocolClient(slow.address) as direct:
+            assert stored.body == direct.request(find).body
     finally:
         proxy.stop(grace=0.2)
         slow.stop()
+
+
+def test_half_closed_client_gets_its_reply_then_eof(server):
+    proxy = start_proxy(server.address)
+    try:
+        with ProtocolClient(proxy.address) as client:
+            request_id = client.send({"find": "phrases", "filter": {"_id": {"$eq": 2}}})
+            client.sock.shutdown(socket.SHUT_WR)
+            assert client.receive_response(request_id).header.response_to == request_id
+            assert client.sock.recv(1) == b""
+        deadline = time.monotonic() + 2.0
+        while proxy.session_count() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert proxy.session_count() == 0
+    finally:
+        proxy.stop(grace=0.2)
+
+
+def test_hit_does_not_overtake_an_owed_reply():
+    slow = MockKVServer(keyspace=10, processing_delay=0.2).start()
+    proxy = start_proxy(slow.address)
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.find(1)  # request 1 fills key 1
+            ids = [client.send({"find": "phrases", "filter": {"_id": {"$eq": k}}})
+                   for k in (2, 1)]  # a miss, then a read of the cached key
+            got = [read_message(client._stream).header.response_to for _ in ids]
+        assert got == ids == [2, 3]
+        stats = proxy.store.snapshot_stats()
+        assert (stats.hits, stats.misses, stats.bypasses) == (0, 2, 1)
+    finally:
+        proxy.stop(grace=0.2)
+        slow.stop()
+
+
+def test_write_to_one_collection_leaves_another_cached_and_current(server):
+    proxy = start_proxy(server.address)
+    find_b = {"find": "b", "filter": {"_id": {"$eq": 5}}}
+    update_a = {"update": "a",
+                "updates": [{"q": {"_id": {"$eq": 5}}, "u": {"$set": {"phrase": "new"}}}]}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.request(find_b)
+            assert client.request_doc(update_a)["nModified"] == 1
+            via_proxy = client.request(find_b)
+        with ProtocolClient(server.address) as direct:
+            assert direct.request(find_b).body == via_proxy.body
+        assert proxy.store.snapshot_stats().hits == 1
+    finally:
+        proxy.stop(grace=0.2)
 
 
 def test_cache_keys_are_scoped_by_collection(server):
@@ -152,7 +209,7 @@ def test_coordination_soak_1000_messages_byte_identical(server):
 
 
 def test_oversize_message_tears_down_session_only(server):
-    proxy = start_proxy(server.address, max_message_bytes=1 << 20)
+    proxy = start_proxy(server.address)
     try:
         sock = socket.create_connection(proxy.address, timeout=2)
         sock.sendall((2**31).to_bytes(4, "little") + b"\x00" * 32)
@@ -336,7 +393,7 @@ def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
             peak = 0
             deadline = time.monotonic() + 0.5
             while time.monotonic() < deadline:
-                peak = max([peak] + [s.queued_bytes() for s in list(proxy._sessions)])
+                peak = max([peak] + [s.queued_bytes() for s in list(proxy._connections)])
                 time.sleep(0.002)
             got = [read_message(client._stream).to_bytes() for _ in finds]
         assert MAX_QUEUED_BYTES <= peak <= MAX_QUEUED_BYTES + largest
