@@ -14,12 +14,16 @@ The direct (no-cache) path for a spec is the same two links end to end.
 A ``time_scale`` divisor shrinks delays for quick runs while preserving
 their ratios; a link whose scaled delay is exactly zero is wired as a
 plain connection (no emulated distance, no relay process).
+
+A cell runs with its client and loop threads on one CPU; see
+``_one_cpu``.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -107,6 +111,24 @@ class ScenarioResult:
         return f"{self.config.name} ({mode})"
 
 
+def _one_cpu(stack: ExitStack) -> None:
+    """Keep the calling thread, and the threads it starts, on one CPU until
+    ``stack`` unwinds.
+
+    The lab's threads take turns on one interpreter lock, so a second CPU
+    buys them little. What it costs: a frame handed to a thread that
+    sleeps on the other CPU has to wake that CPU first, which on a
+    virtual machine took 0.1-0.5 ms and at times several ms, against
+    0.025 ms links at time scale 10. On one CPU the hand-off is a context
+    switch.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    stack.callback(os.sched_setaffinity, 0, allowed)
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one scenario cell end to end and collect its metrics."""
     delays = cfg.scaled_delays
@@ -114,6 +136,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
+        _one_cpu(stack)  # first: the loop threads inherit it
         server = MockKVServer(
             keyspace=cfg.keyspace, seed=cfg.server_seed, doc_size=cfg.doc_size
         ).start()

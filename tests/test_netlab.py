@@ -342,6 +342,26 @@ def test_scenario_run_cached_and_reconciled(tmp_path):
     assert header == "seq,key,outcome,latency_ms"
 
 
+def test_scenario_runs_its_threads_on_one_cpu_then_restores(monkeypatch):
+    from netkvcache.netlab import scenario
+
+    before, running = os.sched_getaffinity(0), set(threading.enumerate())
+    seen = {}
+    run_workload = scenario.run_workload
+
+    def spy(*args, **kwargs):  # the client, and the loops the cell started
+        for t in threading.enumerate():
+            if t is threading.current_thread() or t not in running:
+                seen[t.name] = os.sched_getaffinity(t.native_id)
+        return run_workload(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "run_workload", spy)
+    run_scenario(tiny_config(delays=DelaySpec(1.0, 1.0)))
+    assert {"pipe-loop", "proxy-loop", "mock-loop"} <= set(seen)
+    assert all(cpus == {min(before)} for cpus in seen.values())
+    assert os.sched_getaffinity(0) == before
+
+
 def test_scenario_keyspace_one_all_hits_after_first():
     result = run_scenario(tiny_config(keyspace=1, capacity=1))
     assert result.report.store_stats["misses"] == 1
