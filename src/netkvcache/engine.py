@@ -16,12 +16,16 @@ re-fill the store with the overwritten value.
 from __future__ import annotations
 
 import enum
+import struct
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .storage import CacheKey, CacheStore, FillToken, Hit, canonical_key
-from .wire import MalformedDocument, RawMessage, decode_document, make_message
+from .wire import (
+    TAG_ARRAY, TAG_BOOLEAN, TAG_DOCUMENT, TAG_DOUBLE, TAG_INT32, TAG_INT64,
+    MalformedDocument, RawMessage, decode_document, elements, make_message,
+)
 
 
 class CommandKind(enum.Enum):
@@ -161,23 +165,39 @@ def parse_command(m: RawMessage) -> Command:
     return Command(kind, key, collection, m)
 
 
+# The encodings of a value equal to 1 by tag: the ``ok`` values that pass.
+_ONE = {TAG_DOUBLE: struct.pack("<d", 1.0), TAG_INT32: struct.pack("<i", 1),
+        TAG_INT64: struct.pack("<q", 1), TAG_BOOLEAN: b"\x01"}
+
+
+def _fields(body: bytes, start: int = 0, end: int | None = None) -> dict[str, tuple[int, int, int]]:
+    """``(tag, value_start, value_end)`` by name for each element of the
+    document at ``body[start:end]``; a repeated name keeps its last
+    occurrence, as in a decoded document."""
+    return {name: (tag, vstart, vend) for tag, name, vstart, vend in elements(body, start, end)}
+
+
 def response_is_cacheable(body: bytes) -> bool:
     """True if a response is a successful read with a non-empty batch.
 
     Only such responses are worth replaying for later hits; errors and
-    empty results are forwarded but never stored.
+    empty results are forwarded but never stored. The reply is scanned,
+    not decoded: the top level, ``cursor`` and ``firstBatch`` are walked
+    by their length prefixes, and the batch only up to its first element.
     """
     try:
-        doc = decode_document(body)
+        top = _fields(body)
+        ok, cursor = top.get("ok"), top.get("cursor")
+        if ok is None or body[ok[1]:ok[2]] != _ONE.get(ok[0]):
+            return False
+        if cursor is None or cursor[0] != TAG_DOCUMENT:
+            return False
+        batch = _fields(body, cursor[1], cursor[2]).get("firstBatch")
+        if batch is None or batch[0] != TAG_ARRAY:
+            return False
+        return next(elements(body, batch[1], batch[2]), None) is not None
     except MalformedDocument:
         return False
-    if doc.get("ok") != 1:
-        return False
-    cursor = doc.get("cursor")
-    if not isinstance(cursor, dict):
-        return False
-    batch = cursor.get("firstBatch")
-    return isinstance(batch, list) and len(batch) > 0
 
 
 def synthesize_response(

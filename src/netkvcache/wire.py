@@ -35,7 +35,7 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 HEADER_SIZE = 25
 # Bytes of the header that precede the document payload (the payload_size
@@ -66,6 +66,8 @@ TAG_BOOLEAN = 0x08
 TAG_NULL = 0x0A
 TAG_INT32 = 0x10
 TAG_INT64 = 0x12
+# Value sizes of the tags whose values carry no length prefix.
+_FIXED_SIZES = {TAG_DOUBLE: 8, TAG_BOOLEAN: 1, TAG_NULL: 0, TAG_INT32: 4, TAG_INT64: 8}
 
 
 class WireError(Exception):
@@ -130,10 +132,6 @@ class RawMessage:
         return _HEADER_PREFIX.pack(
             h.length, h.request_id, h.response_to, h.op_code, h.flags, h.payload_type
         ) + self.body
-
-    @classmethod
-    def from_frame(cls, frame: bytes) -> "RawMessage":
-        return cls(header=decode_header(frame[:HEADER_SIZE]), body=frame[HEADER_PREFIX_SIZE:])
 
 
 def make_message(request_id: int, response_to: int, body: bytes) -> RawMessage:
@@ -236,90 +234,92 @@ def encode_document(doc: Mapping[str, Any]) -> bytes:
     return _U32.pack(len(body) + 5) + bytes(body) + b"\x00"
 
 
-class _Reader:
-    """Bounds-checked cursor over document bytes."""
+# The least length prefix of each tag whose value carries one: a string's
+# counts its NUL, a document's its own prefix and terminator.
+_PREFIXED_MIN = {TAG_STRING: 1, TAG_DOCUMENT: 5, TAG_ARRAY: 5}
 
-    __slots__ = ("data", "pos", "end")
 
-    def __init__(self, data: bytes, start: int, end: int):
-        self.data = data
-        self.pos = start
-        self.end = end
+def elements(data: bytes, start: int = 0, end: int | None = None
+             ) -> Iterator[tuple[int, str, int, int]]:
+    """Walk the document that fills ``data[start:end]`` by its length prefixes.
 
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > self.end:
-            raise MalformedDocument("document truncated")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+    Yields ``(tag, name, value_start, value_end)`` per element, where
+    ``data[value_start:value_end]`` is the value. The document's length and
+    terminator are checked before the first element; each element gets a
+    known tag, a UTF-8 name and a value length inside the document. The
+    inside of a string or subdocument value is not looked at.
 
-    def byte(self) -> int:
-        if self.pos >= self.end:
-            raise MalformedDocument("document truncated")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def cstring(self) -> str:
-        nul = self.data.find(b"\x00", self.pos, self.end)
+    Raises:
+        MalformedDocument: on the first framing violation the walk reaches.
+    """
+    if end is None:
+        end = len(data)
+    if end - start < 5:
+        raise MalformedDocument(f"document needs at least 5 bytes, have {end - start}")
+    (total,) = _U32.unpack_from(data, start)
+    if total != end - start:
+        raise MalformedDocument(f"bad document length prefix {total}")
+    if data[end - 1] != 0:
+        raise MalformedDocument("missing document terminator")
+    pos, end = start + 4, end - 1
+    while pos < end:
+        tag = data[pos]
+        nul = data.find(b"\x00", pos + 1, end)
         if nul < 0:
             raise MalformedDocument("unterminated field name")
-        raw = self.data[self.pos:nul]
-        self.pos = nul + 1
         try:
-            return raw.decode("utf-8")
+            name = data[pos + 1:nul].decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedDocument("field name is not valid UTF-8") from None
+        pos = nul + 1
+        size = _FIXED_SIZES.get(tag)
+        if size is None:
+            least = _PREFIXED_MIN.get(tag)
+            if least is None:
+                raise MalformedDocument(f"unknown element tag {tag:#04x}")
+            if pos + 4 > end:
+                raise MalformedDocument("document truncated")
+            (size,) = _U32.unpack_from(data, pos)
+            if size < least:
+                raise MalformedDocument(f"bad value length {size}")
+            if tag == TAG_STRING:
+                size += 4
+        if pos + size > end:
+            raise MalformedDocument("document truncated")
+        yield tag, name, pos, pos + size
+        pos += size
 
 
-def _decode_value(tag: int, r: _Reader, depth: int) -> Any:
+def _decode_value(tag: int, data: bytes, start: int, end: int, depth: int) -> Any:
     if tag == TAG_DOUBLE:
-        return _F64.unpack(r.take(8))[0]
+        return _F64.unpack_from(data, start)[0]
     if tag == TAG_STRING:
-        (n,) = _U32.unpack(r.take(4))
-        if n < 1:
-            raise MalformedDocument("string length must be at least 1")
-        raw = r.take(n)
-        if raw[-1] != 0:
+        if data[end - 1] != 0:
             raise MalformedDocument("unterminated string")
         try:
-            return raw[:-1].decode("utf-8")
+            return data[start + 4:end - 1].decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedDocument("string is not valid UTF-8") from None
     if tag == TAG_DOCUMENT or tag == TAG_ARRAY:
-        sub = _decode_document_at(r, depth + 1)
+        sub = _decode_document_at(data, start, end, depth + 1)
         return list(sub.values()) if tag == TAG_ARRAY else sub
     if tag == TAG_BOOLEAN:
-        b = r.byte()
+        b = data[start]
         if b not in (0, 1):
             raise MalformedDocument(f"invalid boolean byte {b:#04x}")
         return b == 1
     if tag == TAG_NULL:
         return None
     if tag == TAG_INT32:
-        return _I32.unpack(r.take(4))[0]
-    if tag == TAG_INT64:
-        return _I64.unpack(r.take(8))[0]
-    raise MalformedDocument(f"unknown element tag {tag:#04x}")
+        return _I32.unpack_from(data, start)[0]
+    return _I64.unpack_from(data, start)[0]  # ``elements`` admits no other tag
 
 
-def _decode_document_at(r: _Reader, depth: int) -> dict[str, Any]:
+def _decode_document_at(data: bytes, start: int, end: int, depth: int) -> dict[str, Any]:
     if depth > MAX_DOCUMENT_DEPTH:
         raise MalformedDocument("document nesting too deep")
-    (total,) = _U32.unpack(r.take(4))
-    if total < 5 or r.pos - 4 + total > r.end:
-        raise MalformedDocument(f"bad document length prefix {total}")
-    end = r.pos - 4 + total
-    inner = _Reader(r.data, r.pos, end - 1)
-    doc: dict[str, Any] = {}
-    while inner.pos < inner.end:
-        tag = inner.byte()
-        name = inner.cstring()
-        doc[name] = _decode_value(tag, inner, depth)
-    if r.data[end - 1] != 0:
-        raise MalformedDocument("missing document terminator")
-    r.pos = end
-    return doc
+    return {name: _decode_value(tag, data, vstart, vend, depth)
+            for tag, name, vstart, vend in elements(data, start, end)}
 
 
 def decode_document(data: bytes) -> dict[str, Any]:
@@ -329,13 +329,7 @@ def decode_document(data: bytes) -> dict[str, Any]:
         MalformedDocument: on any encoding violation (the declared length
             must equal ``len(data)``).
     """
-    if len(data) < 5:
-        raise MalformedDocument(f"document needs at least 5 bytes, have {len(data)}")
-    r = _Reader(data, 0, len(data))
-    doc = _decode_document_at(r, 0)
-    if r.pos != len(data):
-        raise MalformedDocument("trailing bytes after document")
-    return doc
+    return _decode_document_at(data, 0, len(data), 0)
 
 
 def peek_first_field(body: bytes) -> str | None:
@@ -373,9 +367,6 @@ class SocketStream:
     def write(self, data: bytes) -> None:
         self.sock.sendall(data)
 
-    def flush(self) -> None:
-        pass
-
 
 class Leg:
     """One non-blocking socket of an event loop: the bytes received but not
@@ -399,16 +390,16 @@ class Leg:
         self.outbuf = bytearray()
         self.events = 0  # the selector interest currently registered
 
-    def read(self, n: int) -> bytearray:
-        chunk = self.inbuf[:n]
+    def read(self, n: int) -> bytes:
+        # One copy; the view is released before the buffer is resized.
+        view = memoryview(self.inbuf)
+        chunk = bytes(view[:n])
+        view.release()
         del self.inbuf[:n]
         return chunk
 
     def write(self, data: bytes) -> None:
         self.outbuf += data
-
-    def flush(self) -> None:
-        pass
 
     def frame_ready(self, max_bytes: int = DEFAULT_MAX_MESSAGE_BYTES) -> bool:
         """True if ``read_message`` can run without waiting for more bytes:
@@ -446,14 +437,17 @@ class Leg:
 
 
 def _read_exact(stream, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
+    chunk = stream.read(n)
+    if len(chunk) == n:
+        return chunk
+    buf = bytearray(chunk)
+    while chunk and len(buf) < n:
         chunk = stream.read(n - len(buf))
-        if not chunk:
-            if buf:
-                raise TruncatedMessage(f"stream ended {n - len(buf)} bytes short")
-            raise ConnectionClosed("stream closed")
         buf += chunk
+    if len(buf) < n:
+        if buf:
+            raise TruncatedMessage(f"stream ended {n - len(buf)} bytes short")
+        raise ConnectionClosed("stream closed")
     return bytes(buf)
 
 
@@ -474,11 +468,15 @@ def read_message(stream, max_bytes: int = DEFAULT_MAX_MESSAGE_BYTES) -> RawMessa
         raise OversizeMessage(f"message length {length} exceeds limit {max_bytes}")
     if length < HEADER_SIZE:
         raise TruncatedHeader(f"message length {length} cannot hold a header")
+    # The rest of the header, then the body, so that the body is read
+    # (and, out of a ``Leg``, copied) once. The length was checked first
+    # so that a bad one fails before waiting for bytes it promised.
     try:
-        rest = _read_exact(stream, length - 4)
+        head = _read_exact(stream, HEADER_PREFIX_SIZE - 4)
+        body = _read_exact(stream, length - HEADER_PREFIX_SIZE)
     except ConnectionClosed:
         raise TruncatedMessage("stream ended after length prefix") from None
-    return RawMessage.from_frame(prefix + rest)
+    return RawMessage(decode_header(prefix + head + body[:4]), body)
 
 
 def write_message(stream, m: RawMessage) -> None:
@@ -490,6 +488,5 @@ def write_message(stream, m: RawMessage) -> None:
     data = m.to_bytes()
     try:
         stream.write(data)
-        stream.flush()
     except (BrokenPipeError, ConnectionResetError, OSError) as exc:
         raise ConnectionClosed(str(exc)) from None

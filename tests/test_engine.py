@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import struct
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netkvcache import engine, wire
 from netkvcache.engine import (
     Command,
     CommandKind,
@@ -15,7 +20,13 @@ from netkvcache.engine import (
     synthesize_response,
 )
 from netkvcache.storage import CacheStore, canonical_key
-from netkvcache.wire import MessageHeader, RawMessage, encode_document
+from netkvcache.wire import (
+    MalformedDocument,
+    MessageHeader,
+    RawMessage,
+    decode_document,
+    encode_document,
+)
 
 
 def message(body_doc: dict, request_id=1, response_to=0, op_code=2013) -> RawMessage:
@@ -159,6 +170,195 @@ def test_cacheable_requires_ok_and_nonempty_batch():
     assert not response_is_cacheable(cursor_response([{"_id": 1}], 5, ok=0.0).body)
     assert not response_is_cacheable(encode_document({"n": 1, "ok": 1.0}))
     assert not response_is_cacheable(b"\xff\xff")
+
+
+def decoded_cacheable(body: bytes) -> bool:
+    """The reference: decode the whole reply, then look at the fields."""
+    try:
+        doc = decode_document(body)
+    except MalformedDocument:
+        return False
+    if doc.get("ok") != 1:
+        return False
+    cursor = doc.get("cursor")
+    if not isinstance(cursor, dict):
+        return False
+    batch = cursor.get("firstBatch")
+    return isinstance(batch, list) and len(batch) > 0
+
+
+# Raw documents built by hand, so that they can hold what the encoder never
+# writes: repeated names, and names the decoder folds into one dict entry.
+
+def raw_doc(*elements: bytes) -> bytes:
+    body = b"".join(elements) + b"\x00"
+    return (len(body) + 4).to_bytes(4, "little") + body
+
+
+def raw_element(tag: int, name: str, value: bytes) -> bytes:
+    return bytes([tag]) + name.encode() + b"\x00" + value
+
+
+def framed_elements(data: bytes, start: int, end: int):
+    """An independent check that ``data[start:end]`` is one well-framed
+    document: its length and terminator, then each element's tag, name and
+    value length as it is reached. Yields ``(tag, name, value_start,
+    value_end)`` per element."""
+    assert end - start >= 5 and int.from_bytes(data[start:start + 4], "little") == end - start
+    assert data[end - 1] == 0
+    sizes = {0x01: 8, 0x08: 1, 0x0A: 0, 0x10: 4, 0x12: 8}
+    pos = start + 4
+    while pos < end - 1:
+        tag = data[pos]
+        nul = data.index(b"\x00", pos + 1, end - 1)
+        name = data[pos + 1:nul].decode("utf-8")
+        pos = nul + 1
+        if tag in sizes:
+            size = sizes[tag]
+        else:
+            assert tag in (0x02, 0x03, 0x04)
+            n = int.from_bytes(data[pos:pos + 4], "little")
+            assert n >= (1 if tag == 0x02 else 5)
+            size = n + 4 if tag == 0x02 else n
+        assert pos + size <= end - 1
+        yield tag, name, pos, pos + size
+        pos += size
+
+
+def last_named(fields, name):
+    return [f for f in fields if f[1] == name][-1]
+
+
+OK_VALUES = st.sampled_from([
+    raw_element(0x01, "ok", struct.pack("<d", 1.0)),
+    raw_element(0x01, "ok", struct.pack("<d", 0.0)),
+    raw_element(0x01, "ok", struct.pack("<d", 1.5)),
+    raw_element(0x10, "ok", (1).to_bytes(4, "little")),
+    raw_element(0x10, "ok", (0).to_bytes(4, "little")),
+    raw_element(0x12, "ok", (1).to_bytes(8, "little")),
+    raw_element(0x12, "ok", (1 << 32 | 1).to_bytes(8, "little")),
+    raw_element(0x08, "ok", b"\x01"),
+    raw_element(0x08, "ok", b"\x00"),
+    raw_element(0x02, "ok", (2).to_bytes(4, "little") + b"1\x00"),
+    raw_element(0x0A, "ok", b""),
+    raw_element(0x03, "ok", raw_doc()),
+])
+OTHER = st.sampled_from([
+    raw_element(0x10, "id", (0).to_bytes(4, "little")),
+    raw_element(0x02, "ns", (11).to_bytes(4, "little") + b"kv.phrases\x00"),
+    raw_element(0x0A, "n", b""),
+])
+BATCH_ITEM = st.sampled_from([
+    raw_doc(raw_element(0x10, "_id", (7).to_bytes(4, "little"))),
+    raw_doc(),
+    raw_doc(raw_element(0x02, "s", (3).to_bytes(4, "little") + b"ab\x00")),
+])
+
+
+@st.composite
+def batch_fields(draw, good=False):
+    items = draw(st.lists(BATCH_ITEM, min_size=int(good), max_size=3))
+    tag = 0x04 if good else draw(st.sampled_from([0x04, 0x03]))
+    return raw_element(tag, "firstBatch",
+                       raw_doc(*(raw_element(0x03, str(i), d) for i, d in enumerate(items))))
+
+
+@st.composite
+def cursor_fields(draw, good=False):
+    inner = draw(st.lists(st.one_of(batch_fields(), OTHER), max_size=3))
+    if good:
+        inner.insert(draw(st.integers(0, len(inner))), draw(batch_fields(good=True)))
+    tag = 0x03 if good else draw(st.sampled_from([0x03, 0x04]))
+    return raw_element(tag, "cursor", raw_doc(*inner))
+
+
+@st.composite
+def cursor_replies(draw):
+    """A reply, often malformed: repeated ``ok``/``cursor``/``firstBatch``
+    names, ``ok`` of every type, a cursor that is an array and a batch that
+    is a document, empty batches, then maybe a truncation or byte flips.
+    Half of them hold a cacheable ``cursor`` and ``ok`` somewhere, which
+    a later repeat of the name may override."""
+    fields = draw(st.lists(st.one_of(OK_VALUES, cursor_fields(), OTHER), max_size=4))
+    if draw(st.booleans()):
+        fields.insert(draw(st.integers(0, len(fields))), draw(cursor_fields(good=True)))
+        ok = raw_element(0x01, "ok", struct.pack("<d", 1.0))
+        fields.insert(draw(st.integers(0, len(fields))), ok)
+    body = bytearray(raw_doc(*fields))
+    damage = draw(st.sampled_from(["none", "none", "truncate", "flip", "flip_zero"]))
+    if damage == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    elif damage == "flip":
+        for at in draw(st.lists(st.integers(0, len(body) - 1), min_size=1, max_size=3)):
+            body[at] ^= draw(st.integers(1, 255))
+    elif damage == "flip_zero":  # a terminator, a name's end or a length byte
+        body[draw(st.sampled_from([i for i, b in enumerate(body) if b == 0]))] = draw(
+            st.integers(1, 255))
+    return bytes(body)
+
+
+@settings(max_examples=600, deadline=None)
+@given(cursor_replies())
+def test_scan_agrees_with_decode_and_accepts_only_framed_replies(body):
+    got = response_is_cacheable(body)  # (b) never raises
+    try:
+        decode_document(body)
+    except MalformedDocument:
+        pass
+    else:
+        assert got == decoded_cacheable(body)  # (a)
+    if got:  # (c)
+        top = list(framed_elements(body, 0, len(body)))
+        ok_tag, _, start, end = last_named(top, "ok")
+        assert (ok_tag, body[start:end]) in {
+            (0x01, struct.pack("<d", 1.0)), (0x10, (1).to_bytes(4, "little")),
+            (0x12, (1).to_bytes(8, "little")), (0x08, b"\x01")}
+        tag, _, start, end = last_named(top, "cursor")
+        assert tag == 0x03
+        tag, _, start, end = last_named(list(framed_elements(body, start, end)), "firstBatch")
+        assert tag == 0x04
+        assert next(framed_elements(body, start, end), None) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=80))
+def test_scan_never_raises_on_any_bytes(data):
+    assert response_is_cacheable(data) in (True, False)
+    assert response_is_cacheable((len(data) + 4).to_bytes(4, "little") + data) in (True, False)
+
+
+def test_scan_checks_the_framing_of_what_it_walks():
+    good = cursor_response([{"_id": 1}], 5).body
+    assert response_is_cacheable(good)
+
+    def damaged(at: int, byte: int) -> bytes:
+        return good[:at] + bytes([byte]) + good[at + 1:]
+
+    def value_end(name: bytes) -> int:
+        at = good.index(name + b"\x00") + len(name) + 1
+        return at + int.from_bytes(good[at:at + 4], "little")
+
+    for body in (
+        damaged(len(good) - 1, 1),                    # top-level terminator
+        damaged(value_end(b"cursor") - 1, 1),         # cursor's terminator
+        damaged(value_end(b"firstBatch") - 1, 1),     # batch's terminator
+        damaged(good.index(b"\x10id\x00") + 1, 0xFF),  # a cursor name that is not UTF-8
+        damaged(good.index(b"firstBatch\x00") + 15, 0x7F),  # first batch element's tag
+        good[:-1],                                    # truncated
+    ):
+        assert not response_is_cacheable(body)
+
+
+def test_cacheable_scans_without_decoding(monkeypatch):
+    def refuse(data):
+        raise AssertionError("response_is_cacheable decoded the reply")
+
+    monkeypatch.setattr(engine, "decode_document", refuse)
+    monkeypatch.setattr(wire, "decode_document", refuse)
+    items = [{"i": j, "s": "abcdefghi"} for j in range(2000)]
+    assert response_is_cacheable(cursor_response([{"_id": 1, "items": items}], 5).body)
+    assert not response_is_cacheable(cursor_response([], 5).body)
+    assert not response_is_cacheable(cursor_response([{"_id": 1}], 5, ok=0.0).body)
 
 
 # -- handlers ----------------------------------------------------------------------------

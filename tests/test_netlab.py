@@ -75,13 +75,13 @@ def test_insert_then_find_then_delete(server):
 
 def test_malformed_document_gets_error_response(server):
     import socket as socket_mod
-    from netkvcache.wire import MessageHeader, RawMessage, write_message
+    from netkvcache.wire import MessageHeader, RawMessage, SocketStream, write_message
 
     sock = socket_mod.create_connection(server.address)
-    rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+    stream = SocketStream(sock)
     body = b"\x09\x00\x00\x00\xff\xff\xff\xff\x00"  # valid frame, junk document
-    write_message(wfile, RawMessage(MessageHeader(30, 1, 0, 2013, 0, 0, 9), body))
-    reply = read_message(rfile)
+    write_message(stream, RawMessage(MessageHeader(30, 1, 0, 2013, 0, 0, 9), body))
+    reply = read_message(stream)
     from netkvcache.wire import decode_document
     assert decode_document(reply.body)["ok"] == 0.0
     sock.close()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import random
+import select
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 from netkvcache import wire
 from netkvcache.wire import (
+    DEFAULT_MAX_MESSAGE_BYTES,
+    HEADER_SIZE,
     ConnectionClosed,
     MessageHeader,
     OversizeMessage,
@@ -349,3 +353,61 @@ def test_read_message_framing_is_chunking_independent():
     for chunker in (io.BytesIO(data), OneByteStream(data)):
         got = [read_message(chunker) for _ in range(len(messages))]
         assert got == messages
+
+
+def tcp_pair() -> tuple[socket.socket, socket.socket]:
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        sender = socket.create_connection(server.getsockname())
+        receiver, _ = server.accept()
+    return sender, receiver
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    cuts=st.lists(st.integers(0, 200_000), max_size=8),
+    bad=st.sampled_from([None, (DEFAULT_MAX_MESSAGE_BYTES + 1, OversizeMessage),
+                         (HEADER_SIZE - 1, TruncatedHeader), (3, TruncatedHeader)]),
+)
+def test_leg_frames_as_a_byte_stream_does_at_any_chunking(seed, cuts, bad):
+    rng = random.Random(seed)
+    messages = [make_message(random_document(rng), request_id=i) for i in range(4)]
+    # Larger than one ``Leg.fill``, so a frame arrives over several reads.
+    messages.insert(rng.randrange(5), make_message({"blob": "x" * (wire.RECV_BYTES + 1000)}))
+    data = b"".join(m.to_bytes() for m in messages)
+    if bad is not None:
+        data += u32(bad[0]) + b"\x00" * 6  # a bad length, then less than a header
+    bounds = sorted({0, len(data), *(c for c in cuts if c < len(data))})
+
+    reference = io.BytesIO(data)
+    assert [read_message(reference) for _ in messages] == messages
+
+    sender, receiver = tcp_pair()
+    leg = wire.Leg(receiver, "test")
+    got = []
+    try:
+        for start, end in zip(bounds, bounds[1:]):
+            sender.sendall(data[start:end])
+            want = len(leg.inbuf) + end - start
+            while len(leg.inbuf) < want:
+                select.select([receiver], [], [], 5.0)
+                assert leg.fill()
+            while leg.frame_ready() and len(got) < len(messages):
+                m = read_message(leg)
+                assert type(m.body) is bytes
+                # Growing the buffer would raise BufferError if a view of it
+                # were still exported.
+                leg.inbuf += b"\x00"
+                del leg.inbuf[-1:]
+                got.append(m)
+        assert got == messages
+        if bad is None:
+            assert not leg.inbuf
+        else:
+            assert leg.frame_ready()
+            for stream in (leg, reference):
+                with pytest.raises(bad[1]):
+                    read_message(stream)
+    finally:
+        sender.close()
+        receiver.close()
