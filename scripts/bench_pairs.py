@@ -3,15 +3,15 @@
 Usage, from the repository root:
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        [--pairs 10] [--seconds S] [--workload NAME ...] [--seed N] [--trace 0|1]
+        [--pairs 10] [--workload NAME ...] [--seed N] [--trace 0|1]
 
 The parent is exported with ``git archive`` into a temporary directory,
 so the repository's own checkout and metadata are left as they are.
 Each pair runs ``perfbench/run.py`` once on each side with the same seed
 (100 + pair number unless ``--seed`` fixes one); the parent goes first
-on odd pairs and the working tree on even ones. ``--seconds`` defaults
-to BENCHMARK.json's ``run_seconds`` and the workloads to its list. Every
-run compiles the sources afresh on both sides: bytecode is neither
+on odd pairs and the working tree on even ones. Each run lasts
+BENCHMARK.json's ``run_seconds``, and the workloads default to its list.
+Every run compiles the sources afresh on both sides: bytecode is neither
 written nor read from the trees' ``__pycache__`` directories, because
 ``proxy_rss_mb`` moves with the compiling.
 
@@ -97,7 +97,6 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="commit to compare the working tree with")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, help="one seed for every pair")
@@ -118,7 +117,7 @@ def main() -> int:
         commit = export(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(pycache))
-        result = {"parent": commit, "change": "working tree", "seconds": args.seconds,
+        result = {"parent": commit, "change": "working tree", "seconds": spec["run_seconds"],
                   "trace": args.trace, "pairs": args.pairs, "workloads": {}}
         out["sets"].append(result)
         for workload in workloads:
@@ -128,7 +127,7 @@ def main() -> int:
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 record = {"pair": pair, "seed": seed, "first": order[0]}
                 for side in order:
-                    record[side] = run_once(trees[side], workload, seed, args.seconds,
+                    record[side] = run_once(trees[side], workload, seed, spec["run_seconds"],
                                             args.trace, env)
                     print(f"{workload} pair {pair} {side}: "
                           f"p50_ms={record[side]['metrics'].get('p50_ms')} "

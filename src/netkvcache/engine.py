@@ -16,15 +16,14 @@ re-fill the store with the overwritten value.
 from __future__ import annotations
 
 import enum
-import struct
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .storage import CacheKey, CacheStore, FillToken, Hit, canonical_key
 from .wire import (
-    TAG_ARRAY, TAG_BOOLEAN, TAG_DOCUMENT, TAG_DOUBLE, TAG_INT32, TAG_INT64,
-    MalformedDocument, RawMessage, decode_document, elements, make_message,
+    TAG_ARRAY, TAG_DOCUMENT, MalformedDocument, RawMessage, decode_document,
+    decode_value, elements, make_message,
 )
 
 
@@ -165,11 +164,6 @@ def parse_command(m: RawMessage) -> Command:
     return Command(kind, key, collection, m)
 
 
-# The encodings of a value equal to 1 by tag: the ``ok`` values that pass.
-_ONE = {TAG_DOUBLE: struct.pack("<d", 1.0), TAG_INT32: struct.pack("<i", 1),
-        TAG_INT64: struct.pack("<q", 1), TAG_BOOLEAN: b"\x01"}
-
-
 def _fields(body: bytes, start: int = 0, end: int | None = None) -> dict[str, tuple[int, int, int]]:
     """``(tag, value_start, value_end)`` by name for each element of the
     document at ``body[start:end]``; a repeated name keeps its last
@@ -188,7 +182,7 @@ def response_is_cacheable(body: bytes) -> bool:
     try:
         top = _fields(body)
         ok, cursor = top.get("ok"), top.get("cursor")
-        if ok is None or body[ok[1]:ok[2]] != _ONE.get(ok[0]):
+        if ok is None or decode_value(ok[0], body, ok[1], ok[2]) != 1:
             return False
         if cursor is None or cursor[0] != TAG_DOCUMENT:
             return False

@@ -290,7 +290,13 @@ def elements(data: bytes, start: int = 0, end: int | None = None
         pos += size
 
 
-def _decode_value(tag: int, data: bytes, start: int, end: int, depth: int) -> Any:
+def decode_value(tag: int, data: bytes, start: int, end: int, depth: int = 0) -> Any:
+    """Decode the value of tag ``tag`` at ``data[start:end]``, a range
+    ``elements`` yields.
+
+    Raises:
+        MalformedDocument: on any encoding violation inside the value.
+    """
     if tag == TAG_DOUBLE:
         return _F64.unpack_from(data, start)[0]
     if tag == TAG_STRING:
@@ -318,7 +324,7 @@ def _decode_value(tag: int, data: bytes, start: int, end: int, depth: int) -> An
 def _decode_document_at(data: bytes, start: int, end: int, depth: int) -> dict[str, Any]:
     if depth > MAX_DOCUMENT_DEPTH:
         raise MalformedDocument("document nesting too deep")
-    return {name: _decode_value(tag, data, vstart, vend, depth)
+    return {name: decode_value(tag, data, vstart, vend, depth)
             for tag, name, vstart, vend in elements(data, start, end)}
 
 
