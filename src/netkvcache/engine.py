@@ -47,10 +47,10 @@ _KEYWORD_KINDS = {
 class Command:
     """A parsed manipulation request.
 
-    ``key`` is set only when an ``_id`` equality filter was extracted;
-    insert never carries one, and anything unparseable degrades to
-    BYPASS with the raw message untouched. The store keys an entry by
-    ``collection`` and ``key`` together.
+    ``key`` is set only when an ``_id`` equality filter was extracted
+    and a string names the collection; insert never carries one, and
+    anything unparseable degrades to BYPASS with the raw message
+    untouched. The store keys an entry by ``collection`` and ``key``.
     """
 
     kind: CommandKind
@@ -152,15 +152,16 @@ def parse_command(m: RawMessage) -> Command:
     kind = _KEYWORD_KINDS.get(first)
     if kind is None:
         return Command(CommandKind.BYPASS, None, "", m)
-    collection = body[first] if isinstance(body[first], str) else ""
+    collection = body[first]
     if kind is CommandKind.FIND:
-        return Command(kind, extract_key(body.get("filter")), collection, m)
-    if kind is CommandKind.INSERT:
-        return Command(kind, None, collection, m)
-    field = "updates" if kind is CommandKind.UPDATE else "deletes"
-    key, single = _statement_key(body, field)
-    if not single:
-        return Command(CommandKind.BYPASS, None, collection, m)
+        key = extract_key(body.get("filter"))
+    elif kind is CommandKind.INSERT:
+        key = None
+    else:
+        key, single = _statement_key(body, "updates" if kind is CommandKind.UPDATE else "deletes")
+        kind = kind if single else CommandKind.BYPASS
+    if not isinstance(collection, str):  # no name to scope a key by
+        collection, key = "", None
     return Command(kind, key, collection, m)
 
 

@@ -1,25 +1,26 @@
 """One event-loop thread that owns a listener and every connection it accepts.
 
-The proxy, each delay pipe and each mock server is a ``Loop``. Routes join
-a connection's legs (``wire.Leg``): each leg is the source of one route and
-the destination of one, and each frame read from a source goes to its
-route's handler, which writes into the route's legs. Once a source has
-ended and its route has nothing left to send, the destination is shut for
+The proxy, each delay pipe and each mock server is a ``Loop``. A connection
+has one or two legs, one per socket (``Leg``). Each frame read from a leg
+goes to the leg's handler, which writes into the leg or its peer. Once a
+leg has ended and holds nothing more for its peer, the peer is shut for
 writing, so a half-close passes through. An error on a leg, or a handler
 that raises, ends the whole connection. A connection reads only while its
 legs hold at most ``MAX_QUEUED_BYTES`` unsent, so a peer that never reads
-costs at most that plus one frame.
+costs at most that plus one frame. Timers (``call_at``) run on the same
+thread, in due order, on ``time.perf_counter``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import logging
 import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
@@ -27,44 +28,109 @@ from . import wire
 log = logging.getLogger(__name__)
 
 MAX_QUEUED_BYTES = 256 * 1024
+RECV_BYTES = 64 * 1024  # the most one ``Leg.fill`` reads
+
+# time.sleep() on a loaded box overshoots by hundreds of microseconds,
+# and epoll rounds its timeout up to whole milliseconds; either would
+# swamp sub-10ms emulated delays. So the loop's select() waits only until
+# this margin before a timer's due time, then the loop yield-spins the
+# final stretch, polling its sockets so that a frame arriving meanwhile
+# is stamped when it arrives.
+_SPIN_WINDOW_S = 0.002
 
 
 class BindFailure(RuntimeError):
     """The listen address could not be bound."""
 
 
-@dataclass(slots=True, eq=False)
-class Route:
-    """Frames read from ``src`` go to ``handler``, which writes into ``src`` or
-    ``dst``; a loop that holds frames first holds each ``delay`` seconds."""
+class Leg:
+    """One non-blocking socket of a connection: the bytes received but not
+    yet framed, the bytes queued to send, and the ``handler`` each frame
+    read goes to, after ``delay`` seconds in a loop that holds frames.
 
-    src: wire.Leg
-    dst: wire.Leg
-    handler: Callable[[wire.RawMessage], None]
-    delay: float = 0.0
-    conn: Connection | None = None
-    reading: bool = True  # until ``src`` ends
-    writing: bool = True  # until ``dst`` is shut for writing
-    held: int = 0  # bytes of frames read but not yet handed over
+    It is the stream ``read_message`` reads a buffered frame from, once
+    ``frame_ready`` says the frame is in, and the stream ``write_message``
+    writes into; ``fill`` and ``drain`` move bytes to and from the socket.
+    """
+
+    __slots__ = ("sock", "name", "inbuf", "outbuf", "events", "handler", "delay",
+                 "conn", "held", "reading", "writing")
+
+    def __init__(self, sock: socket.socket, name: str,
+                 handler: Callable[[wire.RawMessage], None] | None = None, delay: float = 0.0):
+        sock.setblocking(False)
+        # Request/response ping-pong: never let Nagle hold a message back.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock, self.name, self.handler, self.delay = sock, name, handler, delay
+        self.inbuf, self.outbuf = bytearray(), bytearray()
+        self.events = 0  # the selector interest currently registered
+        self.conn: Connection | None = None  # set once attached
+        self.held = 0  # bytes of frames read but not yet handed over
+        self.reading = True  # until the socket hits end of stream
+        self.writing = True  # until the socket is shut for writing
+
+    def read(self, n: int) -> bytes:
+        # One copy; the view is released before the buffer is resized.
+        view = memoryview(self.inbuf)
+        chunk = bytes(view[:n])
+        view.release()
+        del self.inbuf[:n]
+        return chunk
+
+    def write(self, data: bytes) -> None:
+        self.outbuf += data
+
+    def frame_ready(self, max_bytes: int = wire.DEFAULT_MAX_MESSAGE_BYTES) -> bool:
+        """True if ``read_message`` can run without waiting for more bytes:
+        the whole frame is buffered, or its length prefix will be rejected."""
+        if len(self.inbuf) < 4:
+            return False
+        length = int.from_bytes(self.inbuf[:4], "little")
+        return len(self.inbuf) >= length or not wire.HEADER_SIZE <= length <= max_bytes
+
+    def fill(self) -> bool:
+        """Append what the socket has to ``inbuf``; False at end of stream."""
+        data = self.sock.recv(RECV_BYTES)
+        self.inbuf += data
+        return bool(data)
+
+    def drain(self) -> None:
+        """Send as much of ``outbuf`` as the socket takes now."""
+        try:
+            sent = self.sock.send(self.outbuf)
+        except BlockingIOError:
+            return
+        del self.outbuf[:sent]
+
+    def watch(self, selector, events: int, data) -> None:
+        """Register, change or drop this socket's interest in ``selector``."""
+        if events == self.events:
+            return
+        if not self.events:
+            selector.register(self.sock, events, data)
+        elif not events:
+            selector.unregister(self.sock)
+        else:
+            selector.modify(self.sock, events, data)
+        self.events = events
 
 
 class Connection:
-    """The legs of one accepted connection and, once attached, its routes."""
+    """The one or two legs of one accepted connection. A leg's peer is the
+    other leg, or the leg itself when there is only one."""
 
     closed = False
-    routes: tuple[Route, ...] = ()
-    ends: tuple[tuple[wire.Leg, Route, Route], ...] = ()  # leg, its reader, its writer
 
-    def __init__(self, *legs: wire.Leg):
+    def __init__(self, *legs: Leg):
+        if not 1 <= len(legs) <= 2:
+            raise ValueError(f"a connection has one or two legs, not {len(legs)}")
         self.legs = legs
 
     def queued_bytes(self) -> int:
         """Bytes read or handled but not yet sent."""
         queued = 0
         for leg in self.legs:
-            queued += len(leg.outbuf)
-        for route in self.routes:
-            queued += route.held
+            queued += len(leg.outbuf) + leg.held
         return queued
 
     def on_close(self) -> None:
@@ -81,7 +147,8 @@ class Loop:
         self.listen = listen
         self._thread: threading.Thread | None = None
         self._connections: set[Connection] = set()
-        self._readers: dict[wire.Leg, Route] = {}  # the route reading each attached leg
+        self._timers: list[tuple[float, int, Callable, tuple]] = []  # a heap
+        self._timer_order = itertools.count()  # orders timers due at the same time
         self._stop_at: float | None = None
 
     @property
@@ -91,22 +158,23 @@ class Loop:
     def _prepare(self) -> None:
         """Set up what the loop thread uses, once the listener is bound."""
 
-    def _tick(self) -> float | None:
-        """Runs once per turn; returns how long the loop may then wait, or None."""
-        return None
-
     def _busy(self) -> bool:
         """True while ``stop`` should wait for in-flight work."""
         return False
 
-    def _fill(self, route: Route) -> None:
-        """Read what the route's source has; at its end, stop reading it."""
-        if not route.src.fill():
-            route.reading = False
+    def _fill(self, leg: Leg) -> None:
+        """Read what the leg's socket has; at its end, stop reading it."""
+        if not leg.fill():
+            leg.reading = False
 
-    def _take(self, route: Route, m: wire.RawMessage) -> None:
-        """Hand a frame just read to its route."""
-        route.handler(m)
+    def _take(self, leg: Leg, m: wire.RawMessage) -> None:
+        """Hand a frame just read to its leg's handler."""
+        leg.handler(m)
+
+    def call_at(self, when: float, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` on the loop thread once ``time.perf_counter()``
+        reaches ``when``. Call it on the loop thread, or before ``start``."""
+        heapq.heappush(self._timers, (when, next(self._timer_order), fn, args))
 
     def start(self):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -138,33 +206,48 @@ class Loop:
         """Stop accepting, wait up to ``grace`` s while ``_busy()``, close all."""
         if self._thread is None or not self._thread.is_alive():
             return
-        self._stop_at = time.monotonic() + grace
+        self._stop_at = time.perf_counter() + grace
         self._wake_w.send(b"\0")
         self._thread.join()
         self._wake_r.close()
         self._wake_w.close()
 
     def _run(self) -> None:
-        select, tick, on_event = self._selector.select, self._tick, self._on_event
+        select, run_timers, on_event = self._selector.select, self._run_timers, self._on_event
         while True:
-            timeout = tick()
+            timeout = run_timers()
             if self._stop_at is not None:
                 if self._listener.fileno() >= 0:
                     self._selector.unregister(self._listener)
                     self._listener.close()
-                left = self._stop_at - time.monotonic()
+                left = self._stop_at - time.perf_counter()
                 if left <= 0 or not self._busy():
                     break
                 timeout = left if timeout is None else min(timeout, left)
             for key, events in select(timeout):
                 data = key.data
-                if data.__class__ is wire.Leg:
+                if data.__class__ is Leg:
                     on_event(data, events)
                 else:
                     data(events)
         for conn in list(self._connections):
             self.end(conn)
         self._selector.close()
+
+    def _run_timers(self) -> float | None:
+        """Run the timers that are due; return how long ``select`` may then
+        wait, or None while no timer is set."""
+        timers = self._timers
+        while timers and timers[0][0] <= time.perf_counter():
+            _, _, fn, args = heapq.heappop(timers)
+            fn(*args)
+        if not timers:
+            return None
+        timeout = timers[0][0] - time.perf_counter() - _SPIN_WINDOW_S
+        if timeout > 0:
+            return timeout
+        time.sleep(0)  # spinning: yield, then poll the sockets
+        return 0
 
     def _accept(self, _events: int) -> None:
         while True:
@@ -182,13 +265,10 @@ class Loop:
                 log.error("%s: cannot serve %s: %s", self.thread_name, peer, exc)
                 sock.close()
 
-    def attach(self, conn: Connection, *routes: Route) -> Connection:
-        """Start moving frames along ``routes``, which join ``conn``'s legs."""
-        conn.routes = routes
-        conn.ends = tuple((r.src, r, w) for r in routes for w in routes if w.dst is r.src)
-        for route in routes:
-            route.conn = conn
-            self._readers[route.src] = route
+    def attach(self, conn: Connection) -> Connection:
+        """Start moving frames from ``conn``'s legs to their handlers."""
+        for leg in conn.legs:
+            leg.conn = conn
         self._settle(conn)
         return conn
 
@@ -198,33 +278,35 @@ class Loop:
             return
         conn.closed = True
         for leg in conn.legs:
-            self._readers.pop(leg, None)
             leg.watch(self._selector, 0, None)
             leg.sock.close()
+            leg.inbuf.clear()
+            leg.outbuf.clear()
         self._connections.discard(conn)
         conn.on_close()
 
-    def _on_event(self, leg: wire.Leg, events: int) -> None:
-        route = self._readers.get(leg)
-        if route is None:
+    def _on_event(self, leg: Leg, events: int) -> None:
+        conn = leg.conn
+        if conn.closed:
             return  # ended by an earlier event in the same batch
         try:
             if events & selectors.EVENT_READ:
-                self._fill(route)
-            self._drive(route.conn)
+                self._fill(leg)
+            self._drive(conn)
         except Exception as exc:
-            self._fail(route.conn, exc)
+            self._fail(conn, exc)
 
-    def _deliver(self, route: Route, m: wire.RawMessage) -> None:
-        """Hand a held frame to its route's handler, then drive its connection."""
-        route.held -= m.header.length
-        if route.conn.closed:
+    def _deliver(self, leg: Leg, m: wire.RawMessage) -> None:
+        """Hand a held frame to its leg's handler, then drive its connection."""
+        leg.held -= m.header.length
+        conn = leg.conn
+        if conn.closed:
             return
         try:
-            route.handler(m)
-            self._drive(route.conn)
+            leg.handler(m)
+            self._drive(conn)
         except Exception as exc:
-            self._fail(route.conn, exc)
+            self._fail(conn, exc)
 
     def _fail(self, conn: Connection, exc: Exception) -> None:
         if isinstance(exc, (wire.WireError, OSError)):
@@ -234,17 +316,17 @@ class Loop:
         self.end(conn)
 
     def _drive(self, conn: Connection) -> None:
-        """Hand buffered frames to their routes while there is room, then send
-        what the sockets take; repeat while that frees room a frame waits for."""
+        """Hand buffered frames to their handlers while there is room, then
+        send what the sockets take; repeat while that frees room a frame
+        waits for."""
         while True:
             full = False
-            for route in conn.routes:
-                src = route.src
-                while src.frame_ready():
+            for leg in conn.legs:
+                while leg.frame_ready():
                     if conn.queued_bytes() > MAX_QUEUED_BYTES:
                         full = True
                         break
-                    self._take(route, wire.read_message(src))
+                    self._take(leg, wire.read_message(leg))
             for leg in conn.legs:
                 if leg.outbuf:
                     leg.drain()
@@ -253,24 +335,23 @@ class Loop:
         self._settle(conn)
 
     def _settle(self, conn: Connection) -> None:
-        """Shut each leg for writing once its writer has nothing more to send,
+        """Shut each leg for writing once its peer has nothing more for it,
         then end the connection if every leg has ended both ways, else watch."""
-        open_legs = False
-        for leg, reader, writer in conn.ends:
-            if not (reader.reading or leg.frame_ready()) and leg.inbuf:
+        legs, open_legs = conn.legs, False
+        for leg, peer in zip(legs, legs[::-1]):
+            if not (leg.reading or leg.frame_ready()) and leg.inbuf:
                 raise wire.TruncatedMessage(f"{leg.name} leg ended inside a frame")
-            if writer.writing and not (writer.reading or writer.held
-                                       or writer.src.inbuf or leg.outbuf):
-                writer.writing = False
+            if leg.writing and not (peer.reading or peer.held or peer.inbuf or leg.outbuf):
+                leg.writing = False
                 with contextlib.suppress(OSError):
                     leg.sock.shutdown(socket.SHUT_WR)
-            open_legs = open_legs or reader.reading or writer.writing
+            open_legs = open_legs or leg.reading or leg.writing
         if not open_legs:
             self.end(conn)
             return
         read = selectors.EVENT_READ if conn.queued_bytes() <= MAX_QUEUED_BYTES else 0
-        for leg, reader, _ in conn.ends:
-            events = read if reader.reading else 0
+        for leg in legs:
+            events = read if leg.reading else 0
             if leg.outbuf:
                 events |= selectors.EVENT_WRITE
             leg.watch(self._selector, events, leg)

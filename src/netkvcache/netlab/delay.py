@@ -1,30 +1,20 @@
 """One-way-delay link emulation over TCP, at message granularity, and the
 timed-delivery loop it shares with the mock server.
 
-A ``RouteLoop`` is a ``loop.Loop`` whose routes hand each frame to their
-handler no earlier than the route's fixed delay after the frame was
-read. Deliveries go out in due order, so one route's frames keep their
-order and back-to-back frames overlap their delays, as on a real long
-link.
+A ``RouteLoop`` is a ``loop.Loop`` whose legs hand each frame to their
+handler no earlier than the leg's fixed delay after the frame was read.
+Each held frame is a loop timer, and timers run in due order, so one
+leg's frames keep their order and back-to-back frames overlap their
+delays, as on a real long link.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import socket
 import time
 
 from .. import wire
-from ..loop import Connection, Loop, Route
-
-# time.sleep() on a loaded box overshoots by hundreds of microseconds,
-# and epoll rounds its timeout up to whole milliseconds; either would
-# swamp sub-10ms emulated delays. So the loop's select() waits only until
-# this margin before a due time, then the loop yield-spins the final
-# stretch, polling its sockets so that a frame arriving meanwhile is
-# stamped when it arrives.
-_SPIN_WINDOW_S = 0.002
+from ..loop import Connection, Leg, Loop
 
 
 def _sleep_until(deadline: float) -> None:
@@ -33,39 +23,24 @@ def _sleep_until(deadline: float) -> None:
 
 
 class RouteLoop(Loop):
-    """A loop whose routes deliver each frame ``route.delay`` seconds
-    after it was read."""
+    """A loop whose legs deliver each frame ``leg.delay`` seconds after it
+    was read."""
 
-    def __init__(self, listen: tuple[str, int]):
-        super().__init__(listen)
-        self._due: list[tuple[float, int, Route, wire.RawMessage]] = []  # a heap
-        self._arrivals = itertools.count()  # orders frames due at the same time
-
-    def _fill(self, route: Route) -> None:
-        super()._fill(route)
+    def _fill(self, leg: Leg) -> None:
+        super()._fill(leg)
         self._arrived = time.perf_counter()  # stamps the frames just read
 
-    def _take(self, route: Route, m: wire.RawMessage) -> None:
-        if not route.delay:  # due now: hand it over without a turn through the heap
-            route.handler(m)
+    def _take(self, leg: Leg, m: wire.RawMessage) -> None:
+        if not leg.delay:  # due now: hand it over without a timer
+            leg.handler(m)
             return
-        route.held += m.header.length
-        heapq.heappush(self._due, (self._arrived + route.delay,
-                                   next(self._arrivals), route, m))
+        leg.held += m.header.length
+        at = self._arrived + leg.delay
+        self.call_at(at, self._hand_over, leg, m, at)
 
-    def _tick(self) -> float | None:
-        due = self._due
-        while due and due[0][0] <= time.perf_counter():
-            at, _, route, m = heapq.heappop(due)
-            _sleep_until(at)  # already due; perfbench hooks it to record `at`
-            self._deliver(route, m)
-        if not due:
-            return None
-        timeout = due[0][0] - time.perf_counter() - _SPIN_WINDOW_S
-        if timeout > 0:
-            return timeout
-        time.sleep(0)  # spinning: yield, then poll the sockets
-        return 0
+    def _hand_over(self, leg: Leg, m: wire.RawMessage, at: float) -> None:
+        _sleep_until(at)  # already due; perfbench hooks it to record `at`
+        self._deliver(leg, m)
 
 
 class DelayPipe(RouteLoop):
@@ -85,7 +60,7 @@ class DelayPipe(RouteLoop):
         # A blocking connect on the loop thread: the lab's targets are
         # local, so it returns at once.
         far_sock = socket.create_connection(self.target, timeout=5.0)
-        near, far = wire.Leg(sock, "near"), wire.Leg(far_sock, "far")
-        return self.attach(Connection(near, far),
-                           Route(near, far, lambda m: wire.write_message(far, m), self.oneway_s),
-                           Route(far, near, lambda m: wire.write_message(near, m), self.oneway_s))
+        near = Leg(sock, "near", delay=self.oneway_s)
+        far = Leg(far_sock, "far", lambda m: wire.write_message(near, m), self.oneway_s)
+        near.handler = lambda m: wire.write_message(far, m)
+        return self.attach(Connection(near, far))

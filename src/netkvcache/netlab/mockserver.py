@@ -19,7 +19,7 @@ import string
 
 from .. import wire
 from ..engine import extract_key
-from ..loop import Connection, Route
+from ..loop import Connection, Leg
 from ..storage import canonical_key
 from .delay import RouteLoop
 
@@ -62,7 +62,6 @@ class MockKVServer(RouteLoop):
         return self._tables[collection]
 
     def _accepted(self, sock: socket.socket) -> Connection:
-        leg = wire.Leg(sock, "client")
         transcript = {"received": [], "sent": []} if self.record_transcript else None
         if transcript is not None:
             self.transcripts.append(transcript)
@@ -75,7 +74,8 @@ class MockKVServer(RouteLoop):
                 transcript["sent"].append(out.to_bytes())
             wire.write_message(leg, out)
 
-        return self.attach(Connection(leg), Route(leg, leg, reply, self.processing_delay))
+        leg = Leg(sock, "client", reply, self.processing_delay)
+        return self.attach(Connection(leg))
 
     # -- request handling --------------------------------------------------
 

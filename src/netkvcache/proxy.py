@@ -4,9 +4,10 @@ messages through the flow classifier and cache engine in both directions.
 ``CacheProxy`` is a ``loop.Loop``: its one thread owns every session's
 sockets, buffers and pending table, so none of them needs a lock.
 Upstream connects are non-blocking, so a slow or hanging upstream holds
-up only its own session; once connected, a session is two routes, client
-to engine and upstream to engine. The loop also takes the statistics
-rows and writes each to ``stats_out`` as it is taken. The ``CacheStore``
+up only its own session, and a loop timer ends a session whose connect
+takes too long. Once connected, a session is two legs, client and
+upstream, each handing its frames to the engine. Another timer writes
+each statistics row to ``stats_out`` as it is taken. The ``CacheStore``
 keeps its lock because callers outside the loop read it too.
 
 Coordination traffic is relayed byte-identically; manipulation traffic
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from . import engine, flows, wire
-from .loop import BindFailure, Connection, Loop, Route
+from .loop import BindFailure, Connection, Leg, Loop
 from .storage import CacheStore, Policy
 
 log = logging.getLogger(__name__)
@@ -72,21 +73,20 @@ class Session(Connection):
         self.forwarded = self.answered = 0
         self._ids = itertools.count(1)
         cfg = proxy.config
-        self.client = wire.Leg(client_sock, "client")
-        self.connect_deadline = time.monotonic() + cfg.connect_timeout
+        self.client = Leg(client_sock, "client", self._from_client)
         try:
             self._addresses = socket.getaddrinfo(*cfg.upstream, type=socket.SOCK_STREAM)
         except OSError as exc:
             raise ConnectionError(f"cannot resolve upstream {cfg.upstream}: {exc}") from exc
         self._dial()
-        proxy._connecting.add(self)
+        proxy.call_at(time.perf_counter() + cfg.connect_timeout, self._connect_timed_out)
 
     def _dial(self) -> None:
         """Start a non-blocking connect to the next upstream address."""
         while self._addresses:
             family, kind, proto, _, address = self._addresses.pop(0)
             sock = socket.socket(family, kind, proto)
-            leg = wire.Leg(sock, "server")
+            leg = Leg(sock, "server", self._from_server)
             err = sock.connect_ex(address)
             if err in (0, errno.EINPROGRESS):
                 self.upstream = leg
@@ -97,7 +97,7 @@ class Session(Connection):
         raise ConnectionError(f"cannot reach upstream {self.proxy.config.upstream}")
 
     def _connected(self, _events: int) -> None:
-        """Attach the routes once the upstream connect succeeds."""
+        """Attach the legs once the upstream connect succeeds."""
         upstream = self.upstream
         upstream.watch(self.proxy._selector, 0, None)
         try:
@@ -111,11 +111,15 @@ class Session(Connection):
             log.error("session %d: %s", self.session_id, exc)
             self.proxy.end(self)
             return
-        self.proxy._connecting.discard(self)
-        self.proxy.attach(self, Route(self.client, upstream, self._from_client),
-                          Route(upstream, self.client, self._from_server))
+        self.proxy.attach(self)
 
-    # -- route handlers --------------------------------------------------
+    def _connect_timed_out(self) -> None:
+        if self.client.conn is None and not self.closed:
+            log.error("session %d: cannot reach upstream %s: connect timed out",
+                      self.session_id, self.proxy.config.upstream)
+            self.proxy.end(self)
+
+    # -- leg handlers ----------------------------------------------------
 
     def _from_client(self, m: wire.RawMessage) -> None:
         if flows.classify_client(m) is flows.FlowClass.COORDINATION:
@@ -140,7 +144,6 @@ class Session(Connection):
         wire.write_message(self.client, m)
 
     def on_close(self) -> None:
-        self.proxy._connecting.discard(self)
         log.info("session %d: done", self.session_id)
 
 
@@ -155,7 +158,6 @@ class CacheProxy(Loop):
         super().__init__(config.listen)
         self.config = config
         self.store = CacheStore(config.capacity, config.policy)
-        self._connecting: set[Session] = set()  # upstream connect in progress
         self._session_ids = itertools.count(1)
         self._stats_file = None  # stats_out, open from start() to stop()
         self._stats: csv.DictWriter | None = None  # None while no rows are taken
@@ -166,7 +168,8 @@ class CacheProxy(Loop):
             self._stats = csv.DictWriter(self._stats_file, fieldnames=STATS_CSV_COLUMNS)
             self._put_stats_row(dict(zip(STATS_CSV_COLUMNS, STATS_CSV_COLUMNS)))  # the header
             self._last_stats = self.store.snapshot_stats()
-            self._stats_due = time.monotonic() + self.config.stats_interval
+            due = time.perf_counter() + self.config.stats_interval
+            self.call_at(due, self._write_stats_row, due)
         log.info("listening on %s:%d, upstream %s:%d, capacity %d, policy %s",
                  *self.address, *self.config.upstream,
                  self.config.capacity, self.config.policy.value)
@@ -174,27 +177,18 @@ class CacheProxy(Loop):
     def _accepted(self, sock: socket.socket) -> Session:
         return Session(self, sock, next(self._session_ids))
 
-    def _tick(self) -> float | None:
-        now = time.monotonic()
-        for session in [s for s in self._connecting if s.connect_deadline <= now]:
-            log.error("session %d: cannot reach upstream %s: connect timed out",
-                      session.session_id, self.config.upstream)
-            self.end(session)
-        deadlines = [s.connect_deadline for s in self._connecting]
-        if self._stats is not None:
-            if now >= self._stats_due:
-                self._write_stats_row(now)
-            deadlines.append(self._stats_due)
-        return max(0.0, min(deadlines) - now) if deadlines else None
-
     def _busy(self) -> bool:
         return any(len(s.pending) for s in self._connections)
 
-    def _write_stats_row(self, now: float) -> None:
-        interval = self.config.stats_interval
-        self._stats_due += interval
-        if self._stats_due <= now:  # the loop fell a whole interval behind
-            self._stats_due = now + interval
+    def _write_stats_row(self, due: float) -> None:
+        """Take the row due at ``due``, then set the timer for the next."""
+        if self._stats is None:
+            return  # the file failed
+        interval, now = self.config.stats_interval, time.perf_counter()
+        due += interval
+        if due <= now:  # the loop fell a whole interval behind
+            due = now + interval
+        self.call_at(due, self._write_stats_row, due)
         stats, last = self.store.snapshot_stats(), self._last_stats
         requests = (stats.hits + stats.misses + stats.bypasses) - (
             last.hits + last.misses + last.bypasses

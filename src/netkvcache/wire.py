@@ -32,7 +32,6 @@ typed ``WireError`` subclass, never an unchecked exception.
 
 from __future__ import annotations
 
-import socket
 import struct
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
@@ -43,7 +42,6 @@ HEADER_SIZE = 25
 HEADER_PREFIX_SIZE = 21
 MANIPULATION_OPCODE = 2013
 DEFAULT_MAX_MESSAGE_BYTES = 16 * 1024 * 1024
-RECV_BYTES = 64 * 1024  # the most one ``Leg.fill`` reads
 # Bound on document nesting accepted by the decoder (stack safety on fuzz
 # input; real traffic nests two or three levels deep).
 MAX_DOCUMENT_DEPTH = 128
@@ -374,74 +372,6 @@ class SocketStream:
         self.sock.sendall(data)
 
 
-class Leg:
-    """One non-blocking socket of an event loop: the bytes received but not
-    yet framed, and the bytes queued to send.
-
-    It is the stream ``read_message`` reads a buffered frame from, once
-    ``frame_ready`` says the frame is in, and the stream ``write_message``
-    writes into. ``fill`` and ``drain`` move bytes between these buffers
-    and the socket.
-    """
-
-    __slots__ = ("sock", "name", "inbuf", "outbuf", "events")
-
-    def __init__(self, sock: socket.socket, name: str):
-        sock.setblocking(False)
-        # Request/response ping-pong: never let Nagle hold a message back.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = sock
-        self.name = name
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
-        self.events = 0  # the selector interest currently registered
-
-    def read(self, n: int) -> bytes:
-        # One copy; the view is released before the buffer is resized.
-        view = memoryview(self.inbuf)
-        chunk = bytes(view[:n])
-        view.release()
-        del self.inbuf[:n]
-        return chunk
-
-    def write(self, data: bytes) -> None:
-        self.outbuf += data
-
-    def frame_ready(self, max_bytes: int = DEFAULT_MAX_MESSAGE_BYTES) -> bool:
-        """True if ``read_message`` can run without waiting for more bytes:
-        the whole frame is buffered, or its length prefix will be rejected."""
-        if len(self.inbuf) < 4:
-            return False
-        length = int.from_bytes(self.inbuf[:4], "little")
-        return len(self.inbuf) >= length or not HEADER_SIZE <= length <= max_bytes
-
-    def fill(self) -> bool:
-        """Append what the socket has to ``inbuf``; False at end of stream."""
-        data = self.sock.recv(RECV_BYTES)
-        self.inbuf += data
-        return bool(data)
-
-    def drain(self) -> None:
-        """Send as much of ``outbuf`` as the socket takes now."""
-        try:
-            sent = self.sock.send(self.outbuf)
-        except BlockingIOError:
-            return
-        del self.outbuf[:sent]
-
-    def watch(self, selector, events: int, data) -> None:
-        """Register, change or drop this socket's interest in ``selector``."""
-        if events == self.events:
-            return
-        if not self.events:
-            selector.register(self.sock, events, data)
-        elif not events:
-            selector.unregister(self.sock)
-        else:
-            selector.modify(self.sock, events, data)
-        self.events = events
-
-
 def _read_exact(stream, n: int) -> bytes:
     chunk = stream.read(n)
     if len(chunk) == n:
@@ -475,7 +405,7 @@ def read_message(stream, max_bytes: int = DEFAULT_MAX_MESSAGE_BYTES) -> RawMessa
     if length < HEADER_SIZE:
         raise TruncatedHeader(f"message length {length} cannot hold a header")
     # The rest of the header, then the body, so that the body is read
-    # (and, out of a ``Leg``, copied) once. The length was checked first
+    # (and, out of a ``loop.Leg``, copied) once. The length was checked first
     # so that a bad one fails before waiting for bytes it promised.
     try:
         head = _read_exact(stream, HEADER_PREFIX_SIZE - 4)

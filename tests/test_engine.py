@@ -134,6 +134,16 @@ def test_parse_find_without_filter_has_no_key():
     assert cmd.key is None
 
 
+def test_parse_collection_not_named_by_a_string_has_no_key():
+    for kind, body in [
+        (CommandKind.FIND, {"find": 5, "filter": {"_id": 1}}),
+        (CommandKind.UPDATE, {"update": 5, "updates": [{"q": {"_id": 1}, "u": {"$set": {}}}]}),
+        (CommandKind.DELETE, {"delete": None, "deletes": [{"q": {"_id": 1}, "limit": 1}]}),
+    ]:
+        cmd = parse_command(message(body))
+        assert (cmd.kind, cmd.key, cmd.collection) == (kind, None, "")
+
+
 def test_parse_unknown_first_field_is_bypass():
     assert parse_command(message({"aggregate": "x"})).kind is CommandKind.BYPASS
 

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from netkvcache.loop import MAX_QUEUED_BYTES
+from netkvcache.loop import MAX_QUEUED_BYTES, Loop
+from netkvcache.netlab import delay
 from netkvcache.netlab.delay import DelayPipe
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.scenario import (
@@ -284,6 +285,55 @@ def test_processing_delay_applies_per_reply_not_per_loop():
         assert 0.3 <= elapsed < 0.5
     finally:
         slow.stop()
+
+
+def test_timers_run_in_due_order_and_ties_in_call_order():
+    loop = Loop(("127.0.0.1", 0))
+    ran, done = [], threading.Event()
+
+    def note(name, due):
+        ran.append((name, time.perf_counter() >= due))
+        if name == "chain":  # a timer may set another, here one already due
+            loop.call_at(due, note, "chained", due)
+        if name == "chained":
+            done.set()
+
+    now = time.perf_counter()
+    for name, offset in [("c", 0.03), ("a1", 0.01), ("b", 0.02), ("a2", 0.01), ("chain", 0.04)]:
+        loop.call_at(now + offset, note, name, now + offset)
+    loop.start()
+    try:
+        assert done.wait(2.0)
+    finally:
+        loop.stop()
+    assert ran == [(name, True) for name in ("a1", "a2", "b", "c", "chain", "chained")]
+
+
+def test_each_held_frame_sleeps_until_its_own_due_time_once(server, monkeypatch):
+    dues = []
+    sleep_until = delay._sleep_until
+
+    def recorded(deadline: float) -> None:
+        dues.append(deadline)
+        sleep_until(deadline)
+
+    monkeypatch.setattr(delay, "_sleep_until", recorded)
+    oneway = 0.005
+    pipe = DelayPipe(server.address, oneway_ms=oneway * 1000).start()
+    spans = []
+    try:
+        with ProtocolClient(pipe.address) as client:
+            for key in range(1, 6):
+                t0 = time.perf_counter()
+                client.find(key)
+                spans.append((t0, time.perf_counter()))
+    finally:
+        pipe.stop()
+    # Each exchange holds two frames: the request, then its reply.
+    assert len(dues) == 2 * len(spans)
+    assert dues == sorted(dues)
+    for (sent, received), request, reply in zip(spans, dues[::2], dues[1::2]):
+        assert sent + oneway <= request and request + oneway <= reply <= received
 
 
 # -- workload ---------------------------------------------------------------------

@@ -178,6 +178,27 @@ def test_cache_keys_are_scoped_by_collection(server):
         fresh.stop()
 
 
+def test_collection_not_named_by_a_string_is_never_cached(server):
+    proxy = start_proxy(server.address)
+    find_6 = {"find": 6, "filter": {"_id": {"$eq": 1}}}
+    update_7 = {"update": 7,
+                "updates": [{"q": {"_id": {"$eq": 2}}, "u": {"$set": {"phrase": "new"}}}]}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.request({"find": 5, "filter": {"_id": {"$eq": 1}}})
+            got = client.request(find_6)
+            client.find(2)
+            assert proxy.store.entry_count() == 1
+            client.request(update_7)  # a keyed write, but the key is unscoped
+            assert proxy.store.entry_count() == 0
+        with ProtocolClient(server.address) as direct:
+            assert direct.request(find_6).body == got.body
+        stats = proxy.store.snapshot_stats()
+        assert (stats.hits, stats.misses, stats.bypasses) == (0, 1, 2)
+    finally:
+        proxy.stop(grace=0.2)
+
+
 def test_coordination_traffic_passes_byte_identically(server):
     proxy = start_proxy(server.address)
     try:
@@ -403,6 +424,43 @@ def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
     finally:
         proxy.stop(grace=0.2)
         big.stop()
+
+
+def test_ended_session_drops_what_its_legs_held():
+    big = MockKVServer(keyspace=4, doc_size=64 * 1024).start()
+    proxy = start_proxy(big.address)
+    find = {"find": "phrases", "filter": {"_id": {"$eq": 1}}}
+    try:
+        client = ProtocolClient(proxy.address)
+        client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)
+        for _ in range(80):  # never read: the replies pile up in the proxy
+            client.send(find)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            sessions = list(proxy._connections)
+            if sessions and sessions[0].queued_bytes() >= MAX_QUEUED_BYTES:
+                break
+            time.sleep(0.005)
+        (session,) = sessions
+        assert session.queued_bytes() >= MAX_QUEUED_BYTES
+        client.close()
+        deadline = time.monotonic() + 2.0
+        while proxy.session_count() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        # The session's connect timer still refers to it, but it holds nothing.
+        assert session.closed and proxy.session_count() == 0
+        assert sum(len(leg.inbuf) + len(leg.outbuf) for leg in session.legs) == 0
+    finally:
+        proxy.stop(grace=0.2)
+        big.stop()
+
+
+def test_stop_does_not_wait_for_a_pending_stats_timer(tmp_path, server):
+    proxy = start_proxy(server.address, stats_interval=1.0, stats_out=str(tmp_path / "s.csv"))
+    time.sleep(0.05)
+    t0 = time.monotonic()
+    proxy.stop(grace=0)
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_slow_upstream_delays_only_its_own_session():

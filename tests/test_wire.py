@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netkvcache import wire
+from netkvcache import loop, wire
 from netkvcache.wire import (
     DEFAULT_MAX_MESSAGE_BYTES,
     HEADER_SIZE,
@@ -373,7 +373,7 @@ def test_leg_frames_as_a_byte_stream_does_at_any_chunking(seed, cuts, bad):
     rng = random.Random(seed)
     messages = [make_message(random_document(rng), request_id=i) for i in range(4)]
     # Larger than one ``Leg.fill``, so a frame arrives over several reads.
-    messages.insert(rng.randrange(5), make_message({"blob": "x" * (wire.RECV_BYTES + 1000)}))
+    messages.insert(rng.randrange(5), make_message({"blob": "x" * (loop.RECV_BYTES + 1000)}))
     data = b"".join(m.to_bytes() for m in messages)
     if bad is not None:
         data += u32(bad[0]) + b"\x00" * 6  # a bad length, then less than a header
@@ -383,7 +383,7 @@ def test_leg_frames_as_a_byte_stream_does_at_any_chunking(seed, cuts, bad):
     assert [read_message(reference) for _ in messages] == messages
 
     sender, receiver = tcp_pair()
-    leg = wire.Leg(receiver, "test")
+    leg = loop.Leg(receiver, "test")
     got = []
     try:
         for start, end in zip(bounds, bounds[1:]):
