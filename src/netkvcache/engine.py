@@ -1,10 +1,12 @@
 """Per-session cache engine: command parsing and the two message handlers.
 
-The client handler short-circuits cacheable reads (a hit answers the
-client locally and nothing goes upstream), tracks forwarded misses so
-their responses can be captured, and applies write-invalidate before
-forwarding writes. The server handler fills the store from tracked read
-responses and always forwards the original bytes downstream.
+The engine decides and the session sends. ``handle_client`` answers a
+cacheable read from the store on a hit, returning the reply, and on
+anything else returns None: the request goes upstream, tracked first
+when its response is to be captured. Writes invalidate before they are
+forwarded. ``handle_server`` fills the store from tracked read responses
+and settles write acknowledgments; the session then forwards the
+original bytes downstream.
 
 Writes are tracked in the pending table too: when a write's
 acknowledgment comes back, the key is invalidated a second time. This
@@ -20,6 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .flows import COMMAND_KEYWORDS
 from .storage import CacheKey, CacheStore, FillToken, Hit, canonical_key
 from .wire import (
     TAG_ARRAY, TAG_DOCUMENT, MalformedDocument, RawMessage, decode_document,
@@ -28,6 +31,7 @@ from .wire import (
 
 
 class CommandKind(enum.Enum):
+    # Each kind but BYPASS is named by its flows.COMMAND_KEYWORDS keyword.
     FIND = "find"
     INSERT = "insert"
     UPDATE = "update"
@@ -35,27 +39,18 @@ class CommandKind(enum.Enum):
     BYPASS = "bypass"
 
 
-_KEYWORD_KINDS = {
-    "find": CommandKind.FIND,
-    "insert": CommandKind.INSERT,
-    "update": CommandKind.UPDATE,
-    "delete": CommandKind.DELETE,
-}
-
-
 @dataclass(frozen=True)
 class Command:
     """A parsed manipulation request.
 
-    ``key`` is set only when an ``_id`` equality filter was extracted
-    and a string names the collection; insert never carries one, and
-    anything unparseable degrades to BYPASS with the raw message
-    untouched. The store keys an entry by ``collection`` and ``key``.
+    ``key`` is the store key (``store_key``), set only when an ``_id``
+    equality filter was extracted and a string names the collection;
+    insert never carries one, and anything unparseable degrades to
+    BYPASS with the raw message untouched.
     """
 
     kind: CommandKind
     key: CacheKey | None
-    collection: str
     raw: RawMessage
 
 
@@ -67,36 +62,14 @@ class PendingKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PendingEntry:
+    """A forwarded request awaiting its response, in a session's pending
+    table: a ``dict`` from request id to entry, touched only by the
+    proxy's loop thread."""
+
     kind: PendingKind
     key: CacheKey | None
     token: FillToken | None
     issued_at: float
-
-
-class PendingTable:
-    """Session-local map of forwarded request ids awaiting responses.
-
-    Only the proxy's loop thread touches it, so it takes no lock.
-    """
-
-    def __init__(self):
-        self._entries: dict[int, PendingEntry] = {}
-
-    def track_find(self, request_id: int, key: CacheKey, token: FillToken) -> None:
-        self._entries[request_id] = PendingEntry(
-            PendingKind.FIND_FILL, key, token, time.monotonic()
-        )
-
-    def track_write(self, request_id: int, key: CacheKey | None) -> None:
-        kind = PendingKind.WRITE_KEY if key is not None else PendingKind.WRITE_ALL
-        self._entries[request_id] = PendingEntry(kind, key, None, time.monotonic())
-
-    def take(self, request_id: int) -> PendingEntry | None:
-        """Remove and return the entry, or None if untracked."""
-        return self._entries.pop(request_id, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def extract_key(filter_doc: Any) -> CacheKey | None:
@@ -145,14 +118,11 @@ def parse_command(m: RawMessage) -> Command:
     try:
         body = decode_document(m.body)
     except MalformedDocument:
-        return Command(CommandKind.BYPASS, None, "", m)
-    if not body:
-        return Command(CommandKind.BYPASS, None, "", m)
-    first = next(iter(body))
-    kind = _KEYWORD_KINDS.get(first)
-    if kind is None:
-        return Command(CommandKind.BYPASS, None, "", m)
-    collection = body[first]
+        return Command(CommandKind.BYPASS, None, m)
+    first = next(iter(body), None)
+    if first not in COMMAND_KEYWORDS:
+        return Command(CommandKind.BYPASS, None, m)
+    kind, collection = CommandKind(first), body[first]
     if kind is CommandKind.FIND:
         key = extract_key(body.get("filter"))
     elif kind is CommandKind.INSERT:
@@ -160,9 +130,9 @@ def parse_command(m: RawMessage) -> Command:
     else:
         key, single = _statement_key(body, "updates" if kind is CommandKind.UPDATE else "deletes")
         kind = kind if single else CommandKind.BYPASS
-    if not isinstance(collection, str):  # no name to scope a key by
-        collection, key = "", None
-    return Command(kind, key, collection, m)
+    if key is not None:
+        key = store_key(collection, key) if isinstance(collection, str) else None
+    return Command(kind, key, m)
 
 
 def _fields(body: bytes, start: int = 0, end: int | None = None) -> dict[str, tuple[int, int, int]]:
@@ -206,67 +176,58 @@ def synthesize_response(
     return make_message(next_id(), request.header.request_id, stored_body)
 
 
-Send = Callable[[RawMessage], None]
-
-
 def handle_client(
     cmd: Command,
     store: CacheStore,
-    pending: PendingTable,
-    send_upstream: Send,
-    send_downstream: Send,
+    pending: dict[int, PendingEntry],
     next_id: Callable[[], int],
     owed: bool = False,
-) -> None:
-    """Process one parsed client command.
+) -> RawMessage | None:
+    """Process one parsed client command; returns the reply to a hit, or
+    None when ``cmd.raw`` is to go upstream.
 
-    Reads with a key are answered locally on a hit (nothing goes
-    upstream) or tracked and forwarded on a miss. Writes invalidate
-    before forwarding — keyed writes their key, unkeyed writes the whole
-    store. Everything else forwards untracked as a bypass, and so does a
-    keyed read while a reply is ``owed``, which a local hit would overtake.
+    Reads with a key are answered locally on a hit or tracked on a miss.
+    Writes invalidate and are tracked — keyed writes their key, unkeyed
+    writes the whole store. Everything else goes untracked as a bypass,
+    and so does a keyed read while a reply is ``owed``, which a local
+    hit would overtake.
     """
-    key = None if cmd.key is None else store_key(cmd.collection, cmd.key)
-    if cmd.kind is CommandKind.FIND and key is not None and not owed:
+    key, kind = cmd.key, cmd.kind
+    if kind is CommandKind.FIND and key is not None and not owed:
         result = store.get(key)
         if isinstance(result, Hit):
-            send_downstream(synthesize_response(cmd.raw, result.body, next_id))
-            return
-        # Track before forwarding so the response can never race the entry.
-        pending.track_find(cmd.raw.header.request_id, key, result.token)
-        send_upstream(cmd.raw)
-        return
-    if cmd.kind in (CommandKind.UPDATE, CommandKind.DELETE):
+            return synthesize_response(cmd.raw, result.body, next_id)
+        pending[cmd.raw.header.request_id] = PendingEntry(
+            PendingKind.FIND_FILL, key, result.token, time.monotonic())
+        return None
+    if kind is CommandKind.UPDATE or kind is CommandKind.DELETE:
         if key is not None:
             store.invalidate(key)
+            tracked = PendingKind.WRITE_KEY
         else:
             store.invalidate_all()
-        pending.track_write(cmd.raw.header.request_id, key)
-        send_upstream(cmd.raw)
-        return
+            tracked = PendingKind.WRITE_ALL
+        pending[cmd.raw.header.request_id] = PendingEntry(tracked, key, None, time.monotonic())
+        return None
     store.record_bypass()
-    send_upstream(cmd.raw)
+    return None
 
 
-def handle_server(
-    m: RawMessage,
-    store: CacheStore,
-    pending: PendingTable,
-    send_downstream: Send,
-) -> None:
-    """Process one server message; always forwards the original bytes.
+def handle_server(m: RawMessage, store: CacheStore, pending: dict[int, PendingEntry]) -> None:
+    """Settle the request a server message answers, if it is tracked.
 
-    A tracked read response is offered to the store first (rejections
-    are silent, counted in stats); a tracked write acknowledgment
-    re-invalidates its key. Untracked messages pass through immediately.
+    A tracked read response is offered to the store (rejections are
+    silent, counted in stats); a tracked write acknowledgment
+    re-invalidates its key, or the whole store. The message itself is
+    left for the session to forward unchanged.
     """
-    entry = pending.take(m.header.response_to)
-    if entry is not None:
-        if entry.kind is PendingKind.FIND_FILL:
-            if response_is_cacheable(m.body):
-                store.put(entry.key, m.body, entry.token)
-        elif entry.kind is PendingKind.WRITE_KEY:
-            store.invalidate(entry.key)
-        else:
-            store.invalidate_all()
-    send_downstream(m)
+    entry = pending.pop(m.header.response_to, None)
+    if entry is None:
+        return
+    if entry.kind is PendingKind.FIND_FILL:
+        if response_is_cacheable(m.body):
+            store.put(entry.key, m.body, entry.token)
+    elif entry.kind is PendingKind.WRITE_KEY:
+        store.invalidate(entry.key)
+    else:
+        store.invalidate_all()

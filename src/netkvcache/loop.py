@@ -30,14 +30,6 @@ log = logging.getLogger(__name__)
 MAX_QUEUED_BYTES = 256 * 1024
 RECV_BYTES = 64 * 1024  # the most one ``Leg.fill`` reads
 
-# time.sleep() on a loaded box overshoots by hundreds of microseconds,
-# and epoll rounds its timeout up to whole milliseconds; either would
-# swamp sub-10ms emulated delays. So the loop's select() waits only until
-# this margin before a timer's due time, then the loop yield-spins the
-# final stretch, polling its sockets so that a frame arriving meanwhile
-# is stamped when it arrives.
-_SPIN_WINDOW_S = 0.002
-
 
 class BindFailure(RuntimeError):
     """The listen address could not be bound."""
@@ -80,13 +72,14 @@ class Leg:
     def write(self, data: bytes) -> None:
         self.outbuf += data
 
-    def frame_ready(self, max_bytes: int = wire.DEFAULT_MAX_MESSAGE_BYTES) -> bool:
+    def frame_ready(self) -> bool:
         """True if ``read_message`` can run without waiting for more bytes:
         the whole frame is buffered, or its length prefix will be rejected."""
         if len(self.inbuf) < 4:
             return False
         length = int.from_bytes(self.inbuf[:4], "little")
-        return len(self.inbuf) >= length or not wire.HEADER_SIZE <= length <= max_bytes
+        return (len(self.inbuf) >= length
+                or not wire.HEADER_SIZE <= length <= wire.DEFAULT_MAX_MESSAGE_BYTES)
 
     def fill(self) -> bool:
         """Append what the socket has to ``inbuf``; False at end of stream."""
@@ -236,18 +229,15 @@ class Loop:
 
     def _run_timers(self) -> float | None:
         """Run the timers that are due; return how long ``select`` may then
-        wait, or None while no timer is set."""
+        wait, until the next timer, or None while no timer is set."""
         timers = self._timers
-        while timers and timers[0][0] <= time.perf_counter():
+        while timers:
+            wait = timers[0][0] - time.perf_counter()
+            if wait > 0:
+                return wait
             _, _, fn, args = heapq.heappop(timers)
             fn(*args)
-        if not timers:
-            return None
-        timeout = timers[0][0] - time.perf_counter() - _SPIN_WINDOW_S
-        if timeout > 0:
-            return timeout
-        time.sleep(0)  # spinning: yield, then poll the sockets
-        return 0
+        return None
 
     def _accept(self, _events: int) -> None:
         while True:

@@ -16,6 +16,14 @@ import time
 from .. import wire
 from ..loop import Connection, Leg, Loop
 
+# time.sleep() on a loaded box overshoots by hundreds of microseconds,
+# and epoll rounds its timeout up to whole milliseconds; either would
+# swamp sub-10ms emulated delays. So a RouteLoop's select() waits only
+# until this margin before a held frame's due time, then the loop
+# yield-spins the final stretch, polling its sockets so that a frame
+# arriving meanwhile is stamped when it arrives.
+_SPIN_WINDOW_S = 0.002
+
 
 def _sleep_until(deadline: float) -> None:
     while time.perf_counter() < deadline:
@@ -25,6 +33,15 @@ def _sleep_until(deadline: float) -> None:
 class RouteLoop(Loop):
     """A loop whose legs deliver each frame ``leg.delay`` seconds after it
     was read."""
+
+    def _run_timers(self) -> float | None:
+        timeout = super()._run_timers()
+        if timeout is None:
+            return None
+        if timeout > _SPIN_WINDOW_S:
+            return timeout - _SPIN_WINDOW_S
+        time.sleep(0)  # spinning: yield, then poll the sockets
+        return 0
 
     def _fill(self, leg: Leg) -> None:
         super()._fill(leg)

@@ -68,8 +68,6 @@ class ScenarioConfig:
     with_cache: bool = True
     time_scale: float = 1.0
     seed: int = 42
-    doc_size: int = 200
-    server_seed: int = 1234
     out_dir: str | None = None
 
     @classmethod
@@ -137,9 +135,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         out_dir.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         _one_cpu(stack)  # first: the loop threads inherit it
-        server = MockKVServer(
-            keyspace=cfg.keyspace, seed=cfg.server_seed, doc_size=cfg.doc_size
-        ).start()
+        server = MockKVServer(keyspace=cfg.keyspace).start()
         stack.callback(server.stop)
         upstream = server.address
 

@@ -27,7 +27,6 @@ class WorkloadConfig:
     per_batch: int = 1000
     keyspace: int = 100
     seed: int = 42
-    collection: str = "phrases"
     request_timeout_s: float = 10.0
     hello: bool = True
 
@@ -242,7 +241,7 @@ def run_workload(
             client.request_doc({"hello": 1, "client": "netlab"})
         started = time.perf_counter()
         for seq, key in enumerate(keys):
-            body = {"find": cfg.collection, "filter": {"_id": {"$eq": key}}}
+            body = {"find": "phrases", "filter": {"_id": {"$eq": key}}}
             t0 = time.perf_counter()
             outcome = outcomes[seq]
             try:

@@ -41,6 +41,8 @@ STATS_CSV_COLUMNS = [
     "rejected_fills", "invalidations", "entries", "rps",
 ]
 
+CONNECT_TIMEOUT_S = 5.0  # a session whose upstream connect takes longer ends
+
 
 @dataclass
 class ProxyConfig:
@@ -52,7 +54,6 @@ class ProxyConfig:
     stats_interval: float = 1.0  # seconds between rows written to stats_out
     stats_out: str | None = None
     shutdown_grace: float = 5.0
-    connect_timeout: float = 5.0
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -68,18 +69,18 @@ class Session(Connection):
     def __init__(self, proxy: "CacheProxy", client_sock: socket.socket, session_id: int):
         self.proxy = proxy
         self.session_id = session_id
-        self.pending = engine.PendingTable()
+        self.pending: dict[int, engine.PendingEntry] = {}
         # While answered < forwarded a reply is owed, which a hit would overtake.
         self.forwarded = self.answered = 0
         self._ids = itertools.count(1)
-        cfg = proxy.config
+        upstream = proxy.config.upstream
         self.client = Leg(client_sock, "client", self._from_client)
         try:
-            self._addresses = socket.getaddrinfo(*cfg.upstream, type=socket.SOCK_STREAM)
+            self._addresses = socket.getaddrinfo(*upstream, type=socket.SOCK_STREAM)
         except OSError as exc:
-            raise ConnectionError(f"cannot resolve upstream {cfg.upstream}: {exc}") from exc
+            raise ConnectionError(f"cannot resolve upstream {upstream}: {exc}") from exc
         self._dial()
-        proxy.call_at(time.perf_counter() + cfg.connect_timeout, self._connect_timed_out)
+        proxy.call_at(time.perf_counter() + CONNECT_TIMEOUT_S, self._connect_timed_out)
 
     def _dial(self) -> None:
         """Start a non-blocking connect to the next upstream address."""
@@ -122,25 +123,20 @@ class Session(Connection):
     # -- leg handlers ----------------------------------------------------
 
     def _from_client(self, m: wire.RawMessage) -> None:
-        if flows.classify_client(m) is flows.FlowClass.COORDINATION:
-            self._send_upstream(m)
-            return
-        cmd = engine.parse_command(m)
-        log.debug("session %d: client %s key=%s", self.session_id, cmd.kind.value, cmd.key)
-        engine.handle_client(
-            cmd, self.proxy.store, self.pending, self._send_upstream,
-            self._send_downstream, self._ids.__next__, self.answered < self.forwarded,
-        )
-
-    def _from_server(self, m: wire.RawMessage) -> None:
-        self.answered += 1
-        engine.handle_server(m, self.proxy.store, self.pending, self._send_downstream)
-
-    def _send_upstream(self, m: wire.RawMessage) -> None:
+        if flows.classify_client(m) is flows.FlowClass.MANIPULATION:
+            cmd = engine.parse_command(m)
+            log.debug("session %d: client %s key=%s", self.session_id, cmd.kind.value, cmd.key)
+            hit = engine.handle_client(cmd, self.proxy.store, self.pending,
+                                       self._ids.__next__, self.answered < self.forwarded)
+            if hit is not None:
+                wire.write_message(self.client, hit)
+                return
         self.forwarded += 1
         wire.write_message(self.upstream, m)
 
-    def _send_downstream(self, m: wire.RawMessage) -> None:
+    def _from_server(self, m: wire.RawMessage) -> None:
+        self.answered += 1
+        engine.handle_server(m, self.proxy.store, self.pending)
         wire.write_message(self.client, m)
 
     def on_close(self) -> None:
@@ -178,7 +174,7 @@ class CacheProxy(Loop):
         return Session(self, sock, next(self._session_ids))
 
     def _busy(self) -> bool:
-        return any(len(s.pending) for s in self._connections)
+        return any(s.pending for s in self._connections)
 
     def _write_stats_row(self, due: float) -> None:
         """Take the row due at ``due``, then set the timer for the next."""

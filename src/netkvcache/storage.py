@@ -31,9 +31,14 @@ def canonical_key(value: Any) -> CacheKey | None:
 
     Only scalars participate in key equality; documents, arrays, and
     anything else return None (the request then bypasses the cache).
+    A double with an integral value in the int64 range takes the int's
+    key, since a server matches ``5.0`` and ``5`` as one ``_id``;
+    booleans stay apart from numbers.
     """
     if isinstance(value, bool):
         return b"\x08\x01" if value else b"\x08\x00"
+    if isinstance(value, float) and value.is_integer() and -(2**63) <= value < 2**63:
+        value = int(value)
     if isinstance(value, int):
         if _I32_MIN <= value <= _I32_MAX:
             return b"\x10" + struct.pack("<i", value)

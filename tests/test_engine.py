@@ -10,7 +10,6 @@ from netkvcache import engine, wire
 from netkvcache.engine import (
     Command,
     CommandKind,
-    PendingTable,
     extract_key,
     handle_client,
     handle_server,
@@ -89,8 +88,7 @@ def test_extract_key_degenerate_shapes():
 def test_parse_find_with_eq_filter():
     cmd = parse_command(message({"find": "phrases", "filter": {"_id": {"$eq": 42}}}))
     assert cmd.kind is CommandKind.FIND
-    assert cmd.key == canonical_key(42)
-    assert cmd.collection == "phrases"
+    assert cmd.key == store_key("phrases", canonical_key(42))
 
 
 def test_parse_insert_never_has_key():
@@ -104,13 +102,13 @@ def test_parse_update_single_statement():
         {"update": "phrases", "updates": [{"q": {"_id": 7}, "u": {"$set": {"x": 1}}}]}
     ))
     assert cmd.kind is CommandKind.UPDATE
-    assert cmd.key == canonical_key(7)
+    assert cmd.key == store_key("phrases", canonical_key(7))
 
 
 def test_parse_delete_single_statement():
     cmd = parse_command(message({"delete": "phrases", "deletes": [{"q": {"_id": 9}, "limit": 1}]}))
     assert cmd.kind is CommandKind.DELETE
-    assert cmd.key == canonical_key(9)
+    assert cmd.key == store_key("phrases", canonical_key(9))
 
 
 def test_parse_update_compound_filter_keeps_kind_without_key():
@@ -141,7 +139,7 @@ def test_parse_collection_not_named_by_a_string_has_no_key():
         (CommandKind.DELETE, {"delete": None, "deletes": [{"q": {"_id": 1}, "limit": 1}]}),
     ]:
         cmd = parse_command(message(body))
-        assert (cmd.kind, cmd.key, cmd.collection) == (kind, None, "")
+        assert (cmd.kind, cmd.key) == (kind, None)
 
 
 def test_parse_unknown_first_field_is_bypass():
@@ -374,148 +372,145 @@ def test_cacheable_scans_without_decoding(monkeypatch):
 # -- handlers ----------------------------------------------------------------------------
 
 
-class Leg:
-    def __init__(self):
-        self.sent: list[RawMessage] = []
+class Session:
+    """The session's half of the engine: a hit goes downstream, anything
+    else upstream, and every server message downstream after it settles."""
 
-    def __call__(self, m: RawMessage):
-        self.sent.append(m)
+    def __init__(self, capacity=10):
+        self.store = CacheStore(capacity)
+        self.pending: dict = {}
+        self.upstream: list[RawMessage] = []
+        self.downstream: list[RawMessage] = []
+        self._ids = itertools.count(1)
 
+    def client(self, m: RawMessage) -> None:
+        hit = handle_client(parse_command(m), self.store, self.pending, self._ids.__next__)
+        if hit is None:
+            self.upstream.append(m)
+        else:
+            self.downstream.append(hit)
 
-def engine_env(capacity=10):
-    store = CacheStore(capacity)
-    pending = PendingTable()
-    upstream, downstream = Leg(), Leg()
-    ids = itertools.count(1)
-    return store, pending, upstream, downstream, (lambda: next(ids))
-
-
-def drive_client(m, store, pending, upstream, downstream, next_id):
-    handle_client(parse_command(m), store, pending, upstream, downstream, next_id)
+    def server(self, m: RawMessage) -> None:
+        assert handle_server(m, self.store, self.pending) is None
+        self.downstream.append(m)
 
 
 def test_second_find_served_locally_single_upstream_forward():
-    store, pending, upstream, downstream, ids = engine_env()
+    s = Session()
     find1 = message({"find": "p", "filter": {"_id": 5}}, request_id=1)
-    drive_client(find1, store, pending, upstream, downstream, ids)
-    assert len(upstream.sent) == 1 and upstream.sent[0] is find1
-    assert downstream.sent == []
+    s.client(find1)
+    assert len(s.upstream) == 1 and s.upstream[0] is find1
+    assert s.downstream == []
 
     response = cursor_response([{"_id": 5, "v": "a"}], response_to=1)
-    handle_server(response, store, pending, downstream)
-    assert downstream.sent == [response]
-    assert len(pending) == 0
+    s.server(response)
+    assert s.downstream == [response]
+    assert len(s.pending) == 0
 
     find2 = message({"find": "p", "filter": {"_id": 5}}, request_id=2)
-    drive_client(find2, store, pending, upstream, downstream, ids)
-    assert len(upstream.sent) == 1  # still exactly one upstream find
-    assert len(downstream.sent) == 2
-    hit = downstream.sent[-1]
+    s.client(find2)
+    assert len(s.upstream) == 1  # still exactly one upstream find
+    assert len(s.downstream) == 2
+    hit = s.downstream[-1]
     assert hit.header.response_to == 2
     assert hit.body == response.body
 
 
 def test_update_invalidates_then_find_misses_and_forwards():
-    store, pending, upstream, downstream, ids = engine_env()
-    drive_client(message({"find": "p", "filter": {"_id": 5}}, request_id=1),
-                 store, pending, upstream, downstream, ids)
-    handle_server(cursor_response([{"_id": 5}], response_to=1), store, pending, downstream)
+    s = Session()
+    s.client(message({"find": "p", "filter": {"_id": 5}}, request_id=1))
+    s.server(cursor_response([{"_id": 5}], response_to=1))
 
     update = message({"update": "p", "updates": [{"q": {"_id": 5}, "u": {"$set": {"x": 1}}}]},
                      request_id=2)
-    drive_client(update, store, pending, upstream, downstream, ids)
-    assert upstream.sent[-1] is update
+    s.client(update)
+    assert s.upstream[-1] is update
 
     find2 = message({"find": "p", "filter": {"_id": 5}}, request_id=3)
-    drive_client(find2, store, pending, upstream, downstream, ids)
-    assert upstream.sent[-1] is find2  # miss: forwarded, not served locally
-    assert store.snapshot_stats().invalidations >= 1
+    s.client(find2)
+    assert s.upstream[-1] is find2  # miss: forwarded, not served locally
+    assert s.store.snapshot_stats().invalidations >= 1
 
 
 def test_unkeyed_write_invalidates_everything():
-    store, pending, upstream, downstream, ids = engine_env()
+    s = Session()
     for key, rid in ((1, 1), (2, 2)):
-        drive_client(message({"find": "p", "filter": {"_id": key}}, request_id=rid),
-                     store, pending, upstream, downstream, ids)
-        handle_server(cursor_response([{"_id": key}], response_to=rid), store, pending, downstream)
-    assert store.entry_count() == 2
+        s.client(message({"find": "p", "filter": {"_id": key}}, request_id=rid))
+        s.server(cursor_response([{"_id": key}], response_to=rid))
+    assert s.store.entry_count() == 2
 
     delete = message({"delete": "p", "deletes": [{"q": {"_id": {"$lt": 10}}, "limit": 0}]},
                      request_id=3)
-    drive_client(delete, store, pending, upstream, downstream, ids)
-    assert store.entry_count() == 0
+    s.client(delete)
+    assert s.store.entry_count() == 0
 
 
 def test_bypass_find_forwards_verbatim_and_counts():
-    store, pending, upstream, downstream, ids = engine_env()
+    s = Session()
     gt_find = message({"find": "p", "filter": {"_id": {"$gt": 10}}}, request_id=1)
-    drive_client(gt_find, store, pending, upstream, downstream, ids)
-    assert upstream.sent == [gt_find]
-    assert len(pending) == 0
-    assert store.snapshot_stats().bypasses == 1
+    s.client(gt_find)
+    assert s.upstream == [gt_find]
+    assert len(s.pending) == 0
+    assert s.store.snapshot_stats().bypasses == 1
 
     # its response is untracked and passes through unchanged
     response = cursor_response([{"_id": 11}], response_to=1)
-    handle_server(response, store, pending, downstream)
-    assert downstream.sent == [response]
-    assert store.entry_count() == 0
+    s.server(response)
+    assert s.downstream == [response]
+    assert s.store.entry_count() == 0
 
 
 def test_insert_counts_as_bypass_and_forwards():
-    store, pending, upstream, downstream, ids = engine_env()
+    s = Session()
     insert = message({"insert": "p", "documents": [{"_id": 1, "v": "x"}]}, request_id=1)
-    drive_client(insert, store, pending, upstream, downstream, ids)
-    assert upstream.sent == [insert]
-    assert store.snapshot_stats().bypasses == 1
+    s.client(insert)
+    assert s.upstream == [insert]
+    assert s.store.snapshot_stats().bypasses == 1
 
 
 def test_empty_batch_response_not_cached():
-    store, pending, upstream, downstream, ids = engine_env()
-    drive_client(message({"find": "p", "filter": {"_id": 404}}, request_id=1),
-                 store, pending, upstream, downstream, ids)
+    s = Session()
+    s.client(message({"find": "p", "filter": {"_id": 404}}, request_id=1))
     response = cursor_response([], response_to=1)
-    handle_server(response, store, pending, downstream)
-    assert downstream.sent == [response]
-    assert store.entry_count() == 0
+    s.server(response)
+    assert s.downstream == [response]
+    assert s.store.entry_count() == 0
     # the next identical find must go upstream again
-    drive_client(message({"find": "p", "filter": {"_id": 404}}, request_id=2),
-                 store, pending, upstream, downstream, ids)
-    assert len(upstream.sent) == 2
+    s.client(message({"find": "p", "filter": {"_id": 404}}, request_id=2))
+    assert len(s.upstream) == 2
 
 
 def test_write_ack_reinvalidates_key():
-    store, pending, upstream, downstream, ids = engine_env()
+    s = Session()
     update = message({"update": "p", "updates": [{"q": {"_id": 5}, "u": {"$set": {}}}]},
                      request_id=1)
-    drive_client(update, store, pending, upstream, downstream, ids)
-    assert len(pending) == 1
+    s.client(update)
+    assert len(s.pending) == 1
 
     # A concurrent miss takes its token between the write and its ack;
     # the ack-side invalidation must reject that fill.
-    result = store.get(store_key("p", canonical_key(5)))
+    result = s.store.get(store_key("p", canonical_key(5)))
     ack = message({"n": 1, "nModified": 1, "ok": 1.0}, request_id=900, response_to=1)
-    handle_server(ack, store, pending, downstream)
-    assert downstream.sent == [ack]
-    assert len(pending) == 0
-
+    s.server(ack)
+    assert s.downstream == [ack]
+    assert len(s.pending) == 0
     from netkvcache.storage import PutOutcome
-    assert store.put(store_key("p", canonical_key(5)), b"stale",
-                     result.token) is PutOutcome.REJECTED_STALE
+    assert s.store.put(store_key("p", canonical_key(5)), b"stale",
+                       result.token) is PutOutcome.REJECTED_STALE
 
 
 def test_pending_empty_after_quiesce():
-    store, pending, upstream, downstream, ids = engine_env()
+    s = Session()
     for rid in range(1, 6):
-        drive_client(message({"find": "p", "filter": {"_id": rid}}, request_id=rid),
-                     store, pending, upstream, downstream, ids)
-    assert len(pending) == 5
+        s.client(message({"find": "p", "filter": {"_id": rid}}, request_id=rid))
+    assert len(s.pending) == 5
     for rid in range(1, 6):
-        handle_server(cursor_response([{"_id": rid}], response_to=rid), store, pending, downstream)
-    assert len(pending) == 0
+        s.server(cursor_response([{"_id": rid}], response_to=rid))
+    assert len(s.pending) == 0
 
 
 def test_monotone_benefit_capacity_equals_keyspace():
-    store, pending, upstream, downstream, ids = engine_env(capacity=20)
+    s = Session(capacity=20)
     import random
     rng = random.Random(12)
     rid = itertools.count(1)
@@ -523,13 +518,11 @@ def test_monotone_benefit_capacity_equals_keyspace():
     for _ in range(400):
         key = rng.randint(1, 20)
         r = next(rid)
-        before = len(upstream.sent)
-        drive_client(message({"find": "p", "filter": {"_id": key}}, request_id=r),
-                     store, pending, upstream, downstream, ids)
-        if len(upstream.sent) > before:
+        before = len(s.upstream)
+        s.client(message({"find": "p", "filter": {"_id": key}}, request_id=r))
+        if len(s.upstream) > before:
             upstream_finds += 1
-            handle_server(cursor_response([{"_id": key}], response_to=r),
-                          store, pending, downstream)
-    assert upstream_finds == len({r.key for r in map(parse_command, upstream.sent)})
-    assert upstream_finds == store.snapshot_stats().misses
+            s.server(cursor_response([{"_id": key}], response_to=r))
+    assert upstream_finds == len({r.key for r in map(parse_command, s.upstream)})
+    assert upstream_finds == s.store.snapshot_stats().misses
     assert upstream_finds <= 20

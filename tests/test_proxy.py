@@ -7,13 +7,14 @@ import time
 
 import pytest
 
+from netkvcache import proxy as proxy_module
 from netkvcache.engine import store_key
 from netkvcache.loop import MAX_QUEUED_BYTES
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
 from netkvcache.storage import Policy, canonical_key
-from netkvcache.wire import ConnectionClosed, SocketStream, read_message
+from netkvcache.wire import ConnectionClosed, SocketStream, decode_document, read_message
 
 
 @pytest.fixture
@@ -156,6 +157,24 @@ def test_write_to_one_collection_leaves_another_cached_and_current(server):
         with ProtocolClient(server.address) as direct:
             assert direct.request(find_b).body == via_proxy.body
         assert proxy.store.snapshot_stats().hits == 1
+    finally:
+        proxy.stop(grace=0.2)
+
+
+def test_write_naming_an_integral_double_id_invalidates_the_int_key(server):
+    # A server matches _id 5.0 and 5 as one document, so the write must
+    # drop what a find of 5 cached.
+    proxy = start_proxy(server.address)
+    update = {"update": "phrases",
+              "updates": [{"q": {"_id": 5.0}, "u": {"$set": {"phrase": "new"}}}]}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.find(5)
+            assert client.request_doc(update)["n"] == 1
+            via_proxy = client.request({"find": "phrases", "filter": {"_id": {"$eq": 5}}})
+        assert decode_document(via_proxy.body)["cursor"]["firstBatch"][0]["phrase"] == "new"
+        with ProtocolClient(server.address) as direct:
+            assert direct.request({"find": "phrases", "filter": {"_id": 5}}).body == via_proxy.body
     finally:
         proxy.stop(grace=0.2)
 
@@ -368,7 +387,7 @@ def test_all_sessions_share_one_loop_thread(tmp_path, server):
         proxy.stop(grace=0.2)
 
 
-def test_hanging_upstream_connect_blocks_no_other_session():
+def test_hanging_upstream_connect_blocks_no_other_session(monkeypatch):
     # An upstream whose accept queue is full drops SYNs, so connects hang.
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
@@ -379,7 +398,8 @@ def test_hanging_upstream_connect_blocks_no_other_session():
         filler.setblocking(False)
         filler.connect_ex(listener.getsockname())
         fillers.append(filler)
-    proxy = start_proxy(listener.getsockname()[:2], connect_timeout=0.3)
+    monkeypatch.setattr(proxy_module, "CONNECT_TIMEOUT_S", 0.3)
+    proxy = start_proxy(listener.getsockname()[:2])
     clients = []
     try:
         t0 = time.monotonic()
@@ -394,6 +414,37 @@ def test_hanging_upstream_connect_blocks_no_other_session():
         assert time.monotonic() - t1 < 1.0
         for sock in clients + fillers + [listener]:
             sock.close()
+
+
+def test_idle_proxy_makes_no_zero_timeout_turns_for_its_timers(server, monkeypatch):
+    # Each session's connect timer fires while the proxy is idle; waiting
+    # for it needs no spin, so no loop turn polls with a zero timeout.
+    monkeypatch.setattr(proxy_module, "CONNECT_TIMEOUT_S", 0.5)
+    proxy = CacheProxy(ProxyConfig(listen=("127.0.0.1", 0), upstream=server.address,
+                                   capacity=100, shutdown_grace=0.5))
+    timeouts, run_timers = [], proxy._run_timers
+
+    def counted():
+        timeout = run_timers()
+        timeouts.append(timeout)
+        return timeout
+
+    proxy._run_timers = counted
+    proxy.start()
+    clients = []
+    try:
+        for key in range(1, 21):
+            clients.append(ProtocolClient(proxy.address))
+            clients[-1].find(key)
+        assert proxy.session_count() == 20
+        timeouts.clear()
+        time.sleep(1.5)
+        assert proxy.session_count() == 20
+        assert [t for t in list(timeouts) if t is not None and t <= 0] == []
+    finally:
+        for client in clients:
+            client.close()
+        proxy.stop(grace=0.2)
 
 
 def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
