@@ -17,7 +17,10 @@ written nor read from the trees' ``__pycache__`` directories, because
 
 Every metric a run prints is kept per pair, with each side's median and
 quartiles and the number of pairs the working tree won, by the direction
-BENCHMARK.json gives the metric. The first set a file gets records the
+BENCHMARK.json gives the metric. Each gated metric also gets the inputs
+of the benchmark's rule: ``worse_by``, its ``bound`` and
+``beats_parent_iqr``; the progress line on stderr prints every gated
+metric of each run. The first set a file gets records the
 interpreter, the CPU count and perfbench's layout record; running again
 with the same ``--out`` appends a further set, such as a confirm seed.
 """
@@ -76,7 +79,12 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per metric, each side's quartiles and, by the metric's direction, the
+    pairs the change won. A gated metric also gets the gate's inputs:
+    ``worse_by``, the change in medians over the parent's median, positive
+    when worse; its ``bound``; and ``beats_parent_iqr``, whether the medians
+    differ by more than the parent's q3 - q1."""
     names = sorted(set(pairs[0]["parent"]["metrics"]) & set(pairs[0]["change"]["metrics"]))
     out = {}
     for name in names:
@@ -87,6 +95,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             sign = 1 if better[name] == "lower" else -1
             row["better"] = better[name]
             row["change_wins"] = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+        if name in bounds:
+            p, c = row["parent"], row["change"]
+            delta = c["median"] - p["median"]
+            row["worse_by"] = sign * delta / p["median"] if p["median"] else None
+            row["bound"] = bounds[name]
+            row["beats_parent_iqr"] = abs(delta) > p["q3"] - p["q1"]
         out[name] = row
     return out
 
@@ -104,6 +118,7 @@ def main() -> int:
     args = parser.parse_args()
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {
         "python": platform.python_version(),
@@ -129,11 +144,13 @@ def main() -> int:
                 for side in order:
                     record[side] = run_once(trees[side], workload, seed, spec["run_seconds"],
                                             args.trace, env)
-                    print(f"{workload} pair {pair} {side}: "
-                          f"p50_ms={record[side]['metrics'].get('p50_ms')} "
+                    gated = " ".join(f"{name}={record[side]['metrics'].get(name)}"
+                                     for name in bounds)
+                    print(f"{workload} pair {pair} {side}: {gated} "
                           f"correct={record[side]['correct']}", file=sys.stderr, flush=True)
                 pairs.append(record)
-            result["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            result["workloads"][workload] = {
+                "pairs": pairs, "summary": summarize(pairs, better, bounds)}
             args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

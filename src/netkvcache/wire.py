@@ -33,8 +33,9 @@ typed ``WireError`` subclass, never an unchecked exception.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any
 
 HEADER_SIZE = 25
 # Bytes of the header that precede the document payload (the payload_size
@@ -171,47 +172,53 @@ def decode_header(data: bytes) -> MessageHeader:
     return MessageHeader(*_HEADER.unpack_from(data))
 
 
-def _encode_value(value: Any, out: bytearray) -> int:
-    """Append the encoded value, returning its type tag."""
-    # bool before int: bool is an int subclass.
-    if isinstance(value, bool):
-        out.append(1 if value else 0)
-        return TAG_BOOLEAN
-    if isinstance(value, float):
-        out += _F64.pack(value)
-        return TAG_DOUBLE
-    if isinstance(value, str):
-        data = value.encode("utf-8")
-        out += _U32.pack(len(data) + 1)
+# Tags of the exact classes most values have; ``_tag_of`` types the rest.
+_EXACT_TAGS = {int: TAG_INT32, str: TAG_STRING, dict: TAG_DOCUMENT, float: TAG_DOUBLE}
+_NUMBER_STRUCTS = {TAG_INT32: _I32, TAG_DOUBLE: _F64, TAG_INT64: _I64}
+
+
+def _tag_of(value: Any) -> int:
+    # bool before int: bool is an int subclass. Ints are range-checked here.
+    for kinds, tag in ((bool, TAG_BOOLEAN), (float, TAG_DOUBLE), (str, TAG_STRING),
+                       (Mapping, TAG_DOCUMENT), ((list, tuple), TAG_ARRAY),
+                       (type(None), TAG_NULL)):
+        if isinstance(value, kinds):
+            return tag
+    if not isinstance(value, int) or not _INT64_MIN <= value <= _INT64_MAX:
+        raise UnsupportedType(f"cannot encode {type(value).__name__} value {value!r:.40}")
+    return TAG_INT32 if _INT32_MIN <= value <= _INT32_MAX else TAG_INT64
+
+
+def _encode_into(out: bytearray, items: Iterable[tuple[Any, Any]], array: bool) -> None:
+    """Append the document of ``items``: (name, value) pairs, or (index, value) in an array."""
+    start = len(out)
+    out += b"\x00\x00\x00\x00"  # the length prefix, packed once the rest is written
+    for name, value in items:
+        at = len(out)  # the element's tag, set once its value is typed
+        if array:
+            data = b"%d" % name
+        elif not isinstance(name, str) or not name or b"\x00" in (data := name.encode("utf-8")):
+            raise UnsupportedType(f"field name must be a non-empty string without NUL: {name!r}")
+        out.append(0)
         out += data
         out.append(0)
-        return TAG_STRING
-    if isinstance(value, Mapping):
-        out += encode_document(value)
-        return TAG_DOCUMENT
-    if isinstance(value, (list, tuple)):
-        out += encode_document({str(i): v for i, v in enumerate(value)})
-        return TAG_ARRAY
-    if value is None:
-        return TAG_NULL
-    if isinstance(value, int):
-        if _INT32_MIN <= value <= _INT32_MAX:
-            out += _I32.pack(value)
-            return TAG_INT32
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out += _I64.pack(value)
-            return TAG_INT64
-        raise UnsupportedType(f"integer out of 64-bit range: {value}")
-    raise UnsupportedType(f"cannot encode value of type {type(value).__name__}")
-
-
-def _encode_name(name: Any) -> bytes:
-    if not isinstance(name, str) or not name:
-        raise UnsupportedType(f"field name must be a non-empty string, got {name!r}")
-    data = name.encode("utf-8")
-    if b"\x00" in data:
-        raise UnsupportedType(f"field name contains NUL: {name!r}")
-    return data + b"\x00"
+        tag = _EXACT_TAGS.get(type(value))
+        if tag is None or (tag == TAG_INT32 and not _INT32_MIN <= value <= _INT32_MAX):
+            tag = _tag_of(value)
+        out[at] = tag
+        if tag == TAG_STRING:
+            data = value.encode("utf-8")
+            out += _U32.pack(len(data) + 1) + data + b"\x00"
+        elif tag == TAG_DOCUMENT:
+            _encode_into(out, value.items(), False)
+        elif tag == TAG_ARRAY:
+            _encode_into(out, enumerate(value), True)
+        elif tag == TAG_BOOLEAN:
+            out.append(1 if value else 0)
+        elif tag != TAG_NULL:
+            out += _NUMBER_STRUCTS[tag].pack(value)
+    out.append(0)
+    _U32.pack_into(out, start, len(out) - start)
 
 
 def encode_document(doc: Mapping[str, Any]) -> bytes:
@@ -221,15 +228,9 @@ def encode_document(doc: Mapping[str, Any]) -> bytes:
         UnsupportedType: for values outside the supported subset or
             invalid field names.
     """
-    body = bytearray()
-    for name, value in doc.items():
-        name_bytes = _encode_name(name)
-        element = bytearray()
-        tag = _encode_value(value, element)
-        body.append(tag)
-        body += name_bytes
-        body += element
-    return _U32.pack(len(body) + 5) + bytes(body) + b"\x00"
+    out = bytearray()
+    _encode_into(out, doc.items(), False)
+    return bytes(out)
 
 
 # The least length prefix of each tag whose value carries one: a string's
@@ -320,10 +321,63 @@ def decode_value(tag: int, data: bytes, start: int, end: int, depth: int = 0) ->
 
 
 def _decode_document_at(data: bytes, start: int, end: int, depth: int) -> dict[str, Any]:
+    """``elements`` and ``decode_value`` in one loop: the same checks in the
+    same order, with int32, string, document and array values decoded here."""
     if depth > MAX_DOCUMENT_DEPTH:
         raise MalformedDocument("document nesting too deep")
-    return {name: decode_value(tag, data, vstart, vend, depth)
-            for tag, name, vstart, vend in elements(data, start, end)}
+    if end - start < 5:
+        raise MalformedDocument(f"document needs at least 5 bytes, have {end - start}")
+    (total,) = _U32.unpack_from(data, start)
+    if total != end - start:
+        raise MalformedDocument(f"bad document length prefix {total}")
+    if data[end - 1] != 0:
+        raise MalformedDocument("missing document terminator")
+    doc = {}
+    pos, end = start + 4, end - 1
+    while pos < end:
+        tag = data[pos]
+        nul = data.find(b"\x00", pos + 1, end)
+        if nul < 0:
+            raise MalformedDocument("unterminated field name")
+        try:
+            name = data[pos + 1:nul].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedDocument("field name is not valid UTF-8") from None
+        pos = nul + 1
+        if tag == TAG_INT32 and pos + 4 <= end:  # one cut short fails below
+            doc[name] = _I32.unpack_from(data, pos)[0]
+            pos += 4
+            continue
+        least = _PREFIXED_MIN.get(tag)
+        if least is None:
+            size = _FIXED_SIZES.get(tag)
+            if size is None:
+                raise MalformedDocument(f"unknown element tag {tag:#04x}")
+            if pos + size > end:
+                raise MalformedDocument("document truncated")
+            doc[name] = decode_value(tag, data, pos, pos + size, depth)
+            pos += size
+            continue
+        if pos + 4 > end:
+            raise MalformedDocument("document truncated")
+        (size,) = _U32.unpack_from(data, pos)
+        if size < least:
+            raise MalformedDocument(f"bad value length {size}")
+        vend = pos + size + 4 if tag == TAG_STRING else pos + size
+        if vend > end:
+            raise MalformedDocument("document truncated")
+        if tag == TAG_STRING:
+            if data[vend - 1] != 0:
+                raise MalformedDocument("unterminated string")
+            try:
+                doc[name] = data[pos + 4:vend - 1].decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedDocument("string is not valid UTF-8") from None
+        else:
+            sub = _decode_document_at(data, pos, vend, depth + 1)
+            doc[name] = list(sub.values()) if tag == TAG_ARRAY else sub
+        pos = vend
+    return doc
 
 
 def decode_document(data: bytes) -> dict[str, Any]:

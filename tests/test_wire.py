@@ -2,18 +2,24 @@
 
 Expected byte strings are produced by a deliberately independent oracle
 (`int.to_bytes` concatenation, no struct), so the codec under test never
-checks itself.
+checks itself. The document codec is also compared with the two-pass
+codec it replaced, kept below as a reference.
 """
 
 from __future__ import annotations
 
+import collections
+import enum
 import io
 import random
 import select
 import socket
+import struct
+import types
+from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netkvcache import loop, wire
@@ -21,6 +27,7 @@ from netkvcache.wire import (
     DEFAULT_MAX_MESSAGE_BYTES,
     HEADER_SIZE,
     ConnectionClosed,
+    MalformedDocument,
     MessageHeader,
     OversizeMessage,
     RawMessage,
@@ -225,13 +232,25 @@ def test_decode_document_rejects_unterminated_string():
         decode_document(oracle_doc(elements))
 
 
-def test_decode_document_depth_guard():
+def nested_document(levels: int) -> bytes:
+    """A document ``levels`` deep: the top level, then each level holding
+    the next under the name ``d``."""
     deep = b"\x05\x00\x00\x00\x00"
-    for _ in range(200):
+    for _ in range(levels - 1):
         inner = b"\x03" + b"d\x00" + deep
         deep = u32(4 + len(inner) + 1) + inner + b"\x00"
-    with pytest.raises(WireError):
-        decode_document(deep)
+    return deep
+
+
+def test_decode_document_depth_guard():
+    # The top level plus MAX_DOCUMENT_DEPTH nested levels is the deepest accepted.
+    doc = decode_document(nested_document(1 + wire.MAX_DOCUMENT_DEPTH))
+    for _ in range(wire.MAX_DOCUMENT_DEPTH):
+        doc = doc["d"]
+    assert doc == {}
+    for levels in (2 + wire.MAX_DOCUMENT_DEPTH, 201):
+        with pytest.raises(WireError):
+            decode_document(nested_document(levels))
 
 
 def test_decode_fuzz_smoke_never_crashes():
@@ -242,6 +261,220 @@ def test_decode_fuzz_smoke_never_crashes():
             decode_document(blob)
         except WireError:
             pass
+
+
+# -- the one-pass codec against its references -------------------------------------
+#
+# ``reference_encode_document`` is the encoder the one-pass ``encode_document``
+# replaced: it encodes each element into its own buffer and checks types by
+# ``isinstance`` alone. ``reference_decode_document`` composes the decoder from
+# ``elements`` and ``decode_value``, the walk that ``response_is_cacheable``
+# relies on. The codec must agree with both, byte for byte and error for error.
+
+
+def reference_encode_value(value, out: bytearray) -> int:
+    if isinstance(value, bool):
+        out.append(1 if value else 0)
+        return wire.TAG_BOOLEAN
+    if isinstance(value, float):
+        out += struct.pack("<d", value)
+        return wire.TAG_DOUBLE
+    if isinstance(value, str):
+        data = value.encode("utf-8")
+        out += struct.pack("<I", len(data) + 1) + data + b"\x00"
+        return wire.TAG_STRING
+    if isinstance(value, Mapping):
+        out += reference_encode_document(value)
+        return wire.TAG_DOCUMENT
+    if isinstance(value, (list, tuple)):
+        out += reference_encode_document({str(i): v for i, v in enumerate(value)})
+        return wire.TAG_ARRAY
+    if value is None:
+        return wire.TAG_NULL
+    if isinstance(value, int):
+        if -(2**31) <= value < 2**31:
+            out += struct.pack("<i", value)
+            return wire.TAG_INT32
+        if -(2**63) <= value < 2**63:
+            out += struct.pack("<q", value)
+            return wire.TAG_INT64
+        raise UnsupportedType(f"integer out of 64-bit range: {value}")
+    raise UnsupportedType(f"cannot encode value of type {type(value).__name__}")
+
+
+def reference_encode_document(doc) -> bytes:
+    body = bytearray()
+    for name, value in doc.items():
+        if not isinstance(name, str) or not name:
+            raise UnsupportedType(f"field name must be a non-empty string, got {name!r}")
+        name_bytes = name.encode("utf-8")
+        if b"\x00" in name_bytes:
+            raise UnsupportedType(f"field name contains NUL: {name!r}")
+        element = bytearray()
+        tag = reference_encode_value(value, element)
+        body.append(tag)
+        body += name_bytes + b"\x00"
+        body += element
+    return struct.pack("<I", len(body) + 5) + bytes(body) + b"\x00"
+
+
+def reference_decode_document(data: bytes, start: int = 0, end: int | None = None,
+                              depth: int = 0) -> dict:
+    if depth > wire.MAX_DOCUMENT_DEPTH:
+        raise MalformedDocument("document nesting too deep")
+    doc = {}
+    for tag, name, vstart, vend in wire.elements(data, start, end):
+        if tag in (wire.TAG_DOCUMENT, wire.TAG_ARRAY):
+            sub = reference_decode_document(data, vstart, vend, depth + 1)
+            doc[name] = list(sub.values()) if tag == wire.TAG_ARRAY else sub
+        else:
+            doc[name] = wire.decode_value(tag, data, vstart, vend)
+    return doc
+
+
+def outcome(fn, arg, error):
+    """``fn(arg)``, or ``error`` itself when it raises ``error``. ``repr`` of
+    a decoded document shows key order at every level, and NaN equals itself."""
+    try:
+        return repr(fn(arg))
+    except error:
+        return error
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    WIDE = 2**40
+
+
+class Text(str):
+    pass
+
+
+EDGE_INTS = [2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**63 - 1, 2**63, -(2**63),
+             -(2**63) - 1, 2**64, -(2**70)]
+NAMES = st.one_of(st.text(max_size=5), st.sampled_from(["", "\x00", "a\x00b", "é"]),
+                  st.just(Text("sub")), st.integers(0, 3), st.just(b"x"))
+ENCODER_LEAVES = st.one_of(
+    st.integers(-(2**64), 2**64), st.sampled_from(EDGE_INTS), st.booleans(),
+    st.sampled_from(list(Colour)), st.floats(), st.text(max_size=8),
+    st.text(max_size=8).map(Text), st.none(),
+    st.sampled_from([object(), {1, 2}, b"raw", 1j]),
+)
+
+
+def encoder_mappings(values):
+    entries = st.lists(st.tuples(NAMES, values), max_size=4)
+    return st.one_of(
+        entries.map(dict),
+        entries.map(collections.OrderedDict),
+        entries.map(lambda e: types.MappingProxyType(dict(e))),
+    )
+
+
+ENCODER_VALUES = st.recursive(
+    ENCODER_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            encoder_mappings(inner)),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize("doc", [
+    {"t": True, "f": False, "one": 1, "zero": 0},
+    {"colour": Colour.RED, "wide": Colour.WIDE},
+    {"s": Text("sub"), Text("name"): "v"},
+    collections.OrderedDict([("b", 1), ("a", {"c": 2})]),
+    {"proxy": types.MappingProxyType({"k": [1, 2]})},
+    types.MappingProxyType({"k": (1, "two", (3.0, None))}),
+    {str(i): v for i, v in enumerate(EDGE_INTS)},
+    {"big": 2**64}, {"neg": -(2**63) - 1},
+    {"": 1}, {"a\x00b": 1}, {"\x00": "x"}, {1: "int name"},
+    {"nested": {"": 1}}, {"list": [{"a\x00": 1}]},
+    {"x": object()}, {"ok": 1, "bad": [1, {2}]},
+])
+def test_encoder_matches_reference_on_edge_values(doc):
+    assert outcome(encode_document, doc, UnsupportedType) == outcome(
+        reference_encode_document, doc, UnsupportedType)
+
+
+@settings(max_examples=400)
+@given(encoder_mappings(ENCODER_VALUES))
+def test_encoder_matches_reference(doc):
+    got = outcome(encode_document, doc, UnsupportedType)
+    assert got == outcome(reference_encode_document, doc, UnsupportedType)
+
+
+DECODER_VALUES = st.recursive(
+    st.one_of(st.integers(-(2**63), 2**63 - 1), st.floats(), st.text(max_size=6),
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(min_size=1, max_size=4).filter(lambda s: "\x00" not in s),
+                        inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+ALL_TAGS = [wire.TAG_DOUBLE, wire.TAG_STRING, wire.TAG_DOCUMENT, wire.TAG_ARRAY,
+            wire.TAG_BOOLEAN, wire.TAG_NULL, wire.TAG_INT32, wire.TAG_INT64, 0x7F]
+
+
+def framing_offsets(data: bytes, start: int = 0, end: int | None = None):
+    """The offsets of every element tag and every length prefix in the
+    well-framed document ``data[start:end]``, at every level."""
+    tags, prefixes = [], [start]
+    for tag, name, vstart, vend in wire.elements(data, start, end):
+        tags.append(vstart - len(name.encode()) - 2)
+        if tag == wire.TAG_STRING:
+            prefixes.append(vstart)
+        elif tag in (wire.TAG_DOCUMENT, wire.TAG_ARRAY):
+            inner_tags, inner_prefixes = framing_offsets(data, vstart, vend)
+            tags += inner_tags
+            prefixes += inner_prefixes
+    return tags, prefixes
+
+
+@st.composite
+def mutated_encodings(draw):
+    data = bytearray(encode_document(draw(st.dictionaries(
+        st.text(min_size=1, max_size=4).filter(lambda s: "\x00" not in s),
+        DECODER_VALUES, max_size=4))))
+    tags, prefixes = framing_offsets(bytes(data))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["flip", "unzero", "truncate", "append", "prefix", "tag"]))
+        if kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] = draw(st.one_of(st.just(0), st.integers(0, 255)))
+        elif kind == "unzero" and 0 in data:
+            at = draw(st.sampled_from([i for i, b in enumerate(data) if b == 0]))
+            data[at] = draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif kind == "append":
+            data += draw(st.binary(min_size=1, max_size=8))
+        elif kind == "prefix" and prefixes[-1] + 4 <= len(data):
+            at = draw(st.sampled_from([p for p in prefixes if p + 4 <= len(data)]))
+            value = int.from_bytes(data[at:at + 4], "little") + draw(st.sampled_from([-1, 1]))
+            data[at:at + 4] = (value % 2**32).to_bytes(4, "little")
+        elif kind == "tag" and any(t < len(data) for t in tags):
+            at = draw(st.sampled_from([t for t in tags if t < len(data)]))
+            data[at] = draw(st.sampled_from(ALL_TAGS))
+    return bytes(data)
+
+
+@settings(max_examples=1000)
+@given(mutated_encodings())
+# An int32 cut short by its document's end, at the top level and nested
+# (where the bytes after it belong to the outer document), and a string
+# whose length prefix is 0, one short of its NUL.
+@example(oracle_doc(b"\x10" + oracle_cstring("a") + b"\x01\x02"))
+@example(oracle_doc(b"\x03" + oracle_cstring("d") + oracle_doc(b"\x0a" + oracle_cstring("n")
+                                                                 + b"\x10" + oracle_cstring("i"))
+                    + b"\x10" + oracle_cstring("b") + i32(7)))
+@example(oracle_doc(b"\x02" + oracle_cstring("s") + u32(0)))
+def test_decoder_matches_the_walk_it_replaced(data):
+    # Any exception but MalformedDocument escapes ``outcome`` and fails the test.
+    got = outcome(decode_document, data, MalformedDocument)
+    assert got == outcome(reference_decode_document, data, MalformedDocument)
 
 
 def test_peek_first_field():
