@@ -18,7 +18,6 @@ re-fill the store with the overwritten value.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -69,7 +68,6 @@ class PendingEntry:
     kind: PendingKind
     key: CacheKey | None
     token: FillToken | None
-    issued_at: float
 
 
 def extract_key(filter_doc: Any) -> CacheKey | None:
@@ -197,8 +195,7 @@ def handle_client(
         result = store.get(key)
         if isinstance(result, Hit):
             return synthesize_response(cmd.raw, result.body, next_id)
-        pending[cmd.raw.header.request_id] = PendingEntry(
-            PendingKind.FIND_FILL, key, result.token, time.monotonic())
+        pending[cmd.raw.header.request_id] = PendingEntry(PendingKind.FIND_FILL, key, result.token)
         return None
     if kind is CommandKind.UPDATE or kind is CommandKind.DELETE:
         if key is not None:
@@ -207,7 +204,7 @@ def handle_client(
         else:
             store.invalidate_all()
             tracked = PendingKind.WRITE_ALL
-        pending[cmd.raw.header.request_id] = PendingEntry(tracked, key, None, time.monotonic())
+        pending[cmd.raw.header.request_id] = PendingEntry(tracked, key, None)
         return None
     store.record_bypass()
     return None

@@ -38,22 +38,22 @@ class BindFailure(RuntimeError):
 class Leg:
     """One non-blocking socket of a connection: the bytes received but not
     yet framed, the bytes queued to send, and the ``handler`` each frame
-    read goes to, after ``delay`` seconds in a loop that holds frames.
+    read goes to, at once or, in a loop that holds frames, once it is due.
 
     It is the stream ``read_message`` reads a buffered frame from, once
     ``frame_ready`` says the frame is in, and the stream ``write_message``
     writes into; ``fill`` and ``drain`` move bytes to and from the socket.
     """
 
-    __slots__ = ("sock", "name", "inbuf", "outbuf", "events", "handler", "delay",
+    __slots__ = ("sock", "name", "inbuf", "outbuf", "events", "handler",
                  "conn", "held", "reading", "writing")
 
     def __init__(self, sock: socket.socket, name: str,
-                 handler: Callable[[wire.RawMessage], None] | None = None, delay: float = 0.0):
+                 handler: Callable[[wire.RawMessage], None] | None = None):
         sock.setblocking(False)
         # Request/response ping-pong: never let Nagle hold a message back.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock, self.name, self.handler, self.delay = sock, name, handler, delay
+        self.sock, self.name, self.handler = sock, name, handler
         self.inbuf, self.outbuf = bytearray(), bytearray()
         self.events = 0  # the selector interest currently registered
         self.conn: Connection | None = None  # set once attached

@@ -1,13 +1,13 @@
 """Protocol-speaking mock key-value server for integration runs.
 
-Serves a seeded table of keys 1..keyspace. Reads answer with a cursor
-document (`firstBatch` holding the record, or empty for unknown keys);
-writes mutate the in-memory table; anything unrecognized gets a minimal
-`ok` acknowledgment so coordination traffic flows. Each collection has
-its own table, seeded alike on first use. Find responses are
-pre-encoded per collection and key, and a write drops the encoding of
-what it changed, keeping serialization noise out of latency
-measurements.
+Serves a seeded table of keys 1..keyspace and answers each request as
+soon as it is read: distance is the delay pipes' job. Reads answer with a
+cursor document (`firstBatch` holding the record, or empty for unknown
+keys); writes mutate the in-memory table; anything unrecognized gets a
+minimal `ok` acknowledgment so coordination traffic flows. Each
+collection has its own table, seeded alike on first use. A table entry
+holds a document and its encoded find reply, made when the entry is
+seeded, inserted or updated, so a find only looks its reply up.
 """
 
 from __future__ import annotations
@@ -19,18 +19,29 @@ import string
 
 from .. import wire
 from ..engine import extract_key
-from ..loop import Connection, Leg
+from ..loop import Connection, Leg, Loop
 from ..storage import canonical_key
-from .delay import RouteLoop
 
 
 def _seeded_phrase(rng: random.Random, size: int) -> str:
     return "".join(rng.choice(string.ascii_letters + " ") for _ in range(size))
 
 
-class MockKVServer(RouteLoop):
-    """Serves every connection on one loop thread: each request's reply is
-    built and sent ``processing_delay`` seconds after the request arrived."""
+def _dicts(value) -> list[dict]:
+    """The documents of a list, skipping anything else."""
+    return [v for v in value if isinstance(v, dict)] if isinstance(value, list) else []
+
+
+def _find_reply(collection: str, batch: list[dict]) -> bytes:
+    return wire.encode_document({
+        "cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"},
+        "ok": 1.0,
+    })
+
+
+class MockKVServer(Loop):
+    """Serves every connection on one loop thread, replying to each request
+    as soon as it is read."""
 
     thread_name = "mock-loop"
 
@@ -40,26 +51,26 @@ class MockKVServer(RouteLoop):
         keyspace: int = 100,
         seed: int = 1234,
         doc_size: int = 200,
-        processing_delay: float = 0.0,
         record_transcript: bool = False,
     ):
         super().__init__(listen)
-        self.keyspace = keyspace
-        self.processing_delay = processing_delay
         self.record_transcript = record_transcript
         rng = random.Random(seed)
-        self._seeded = {  # what each collection's table starts as
+        self._seeded = {  # what each collection's table starts as; never mutated
             canonical_key(k): {"_id": k, "phrase": _seeded_phrase(rng, doc_size)}
             for k in range(1, keyspace + 1)
         }
-        self._tables: dict[str, dict[bytes, dict]] = {}  # collection -> key -> document
-        self._encoded_responses: dict[tuple[str, bytes], bytes] = {}  # find replies
+        # collection -> key -> (document, its encoded find reply)
+        self._tables: dict[str, dict[bytes, tuple[dict, bytes]]] = {}
         self.transcripts: list[dict[str, list[bytes]]] = []
 
-    def _table(self, collection: str) -> dict[bytes, dict]:
-        if collection not in self._tables:
-            self._tables[collection] = {k: dict(d) for k, d in self._seeded.items()}
-        return self._tables[collection]
+    def _table(self, collection: str) -> dict[bytes, tuple[dict, bytes]]:
+        table = self._tables.get(collection)
+        if table is None:
+            table = self._tables[collection] = {
+                k: (doc, _find_reply(collection, [doc])) for k, doc in self._seeded.items()
+            }
+        return table
 
     def _accepted(self, sock: socket.socket) -> Connection:
         transcript = {"received": [], "sent": []} if self.record_transcript else None
@@ -74,7 +85,7 @@ class MockKVServer(RouteLoop):
                 transcript["sent"].append(out.to_bytes())
             wire.write_message(leg, out)
 
-        leg = Leg(sock, "client", reply, self.processing_delay)
+        leg = Leg(sock, "client", reply)
         return self.attach(Connection(leg))
 
     # -- request handling --------------------------------------------------
@@ -99,72 +110,42 @@ class MockKVServer(RouteLoop):
         return wire.encode_document({"ok": 1.0})
 
     def _find(self, body: dict, collection: str) -> bytes:
-        key = extract_key(body.get("filter"))
-        encoded = self._encoded_responses.get((collection, key))
-        if encoded is not None:
-            return encoded
-        doc = self._table(collection).get(key) if key is not None else None
-        batch = [dict(doc)] if doc is not None else []
-        encoded = wire.encode_document({
-            "cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"},
-            "ok": 1.0,
-        })
-        if doc is not None:
-            self._encoded_responses[collection, key] = encoded
-        return encoded
+        entry = self._table(collection).get(extract_key(body.get("filter")))
+        return entry[1] if entry is not None else _find_reply(collection, [])
 
     def _insert(self, body: dict, collection: str) -> bytes:
         table = self._table(collection)
-        docs = body.get("documents")
         inserted = 0
-        if isinstance(docs, list):
-            for doc in docs:
-                if not isinstance(doc, dict):
-                    continue
-                key = canonical_key(doc.get("_id"))
-                if key is None:
-                    continue
-                table[key] = dict(doc)
-                self._encoded_responses.pop((collection, key), None)
-                inserted += 1
+        for doc in _dicts(body.get("documents")):
+            key = canonical_key(doc.get("_id"))
+            if key is None:
+                continue
+            table[key] = doc, _find_reply(collection, [doc])
+            inserted += 1
         return wire.encode_document({"n": inserted, "ok": 1.0})
 
     def _update(self, body: dict, collection: str) -> bytes:
         table = self._table(collection)
-        statements = body.get("updates")
         modified = 0
-        if isinstance(statements, list):
-            for statement in statements:
-                if not isinstance(statement, dict):
-                    continue
-                key = extract_key(statement.get("q"))
-                if key is None or key not in table:
-                    continue
-                change = statement.get("u")
-                if not isinstance(change, dict):
-                    continue
-                if isinstance(change.get("$set"), dict):
-                    table[key].update(change["$set"])
-                else:
-                    fresh = dict(change)
-                    fresh["_id"] = table[key]["_id"]
-                    table[key] = fresh
-                self._encoded_responses.pop((collection, key), None)
-                modified += 1
+        for statement in _dicts(body.get("updates")):
+            key = extract_key(statement.get("q"))
+            change = statement.get("u")
+            if key not in table or not isinstance(change, dict):
+                continue
+            doc = table[key][0]
+            if isinstance(change.get("$set"), dict):
+                fresh = doc | change["$set"]
+            else:
+                fresh = dict(change)
+                fresh["_id"] = doc["_id"]
+            table[key] = fresh, _find_reply(collection, [fresh])
+            modified += 1
         return wire.encode_document({"n": modified, "nModified": modified, "ok": 1.0})
 
     def _delete(self, body: dict, collection: str) -> bytes:
         table = self._table(collection)
-        statements = body.get("deletes")
         removed = 0
-        if isinstance(statements, list):
-            for statement in statements:
-                if not isinstance(statement, dict):
-                    continue
-                key = extract_key(statement.get("q"))
-                if key is not None and key in table:
-                    del table[key]
-                    self._encoded_responses.pop((collection, key), None)
-                    removed += 1
+        for statement in _dicts(body.get("deletes")):
+            if table.pop(extract_key(statement.get("q")), None) is not None:
+                removed += 1
         return wire.encode_document({"n": removed, "ok": 1.0})
-

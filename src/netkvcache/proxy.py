@@ -70,7 +70,8 @@ class Session(Connection):
         self.proxy = proxy
         self.session_id = session_id
         self.pending: dict[int, engine.PendingEntry] = {}
-        # While answered < forwarded a reply is owed, which a hit would overtake.
+        # While answered < forwarded a reply is owed: a hit would overtake it,
+        # and stop waits for it.
         self.forwarded = self.answered = 0
         self._ids = itertools.count(1)
         upstream = proxy.config.upstream
@@ -174,7 +175,7 @@ class CacheProxy(Loop):
         return Session(self, sock, next(self._session_ids))
 
     def _busy(self) -> bool:
-        return any(s.pending for s in self._connections)
+        return any(s.answered < s.forwarded for s in self._connections)
 
     def _write_stats_row(self, due: float) -> None:
         """Take the row due at ``due``, then set the timer for the next."""

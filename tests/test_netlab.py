@@ -97,19 +97,43 @@ def test_reply_that_cannot_be_encoded_ends_only_its_connection(server):
     from netkvcache.wire import ConnectionClosed, make_message, write_message
 
     # The decoder accepts an empty field name; the encoder refuses it, so
-    # a find of this document fails while its reply is built.
+    # the insert of this document fails while its find reply is built.
     unencodable = _doc(b"\x10_id\x00" + (77).to_bytes(4, "little"),
                        b"\x10\x00" + (1).to_bytes(4, "little"))
     insert = _doc(b"\x02insert\x00" + (8).to_bytes(4, "little") + b"phrases\x00",
                   b"\x04documents\x00" + _doc(b"\x030\x00" + unencodable))
     with ProtocolClient(server.address) as bad, ProtocolClient(server.address) as good:
         write_message(bad._stream, make_message(1, 0, insert))
-        assert read_message(bad._stream).header.response_to == 1
         with pytest.raises(ConnectionClosed):
-            bad.find(77)
+            read_message(bad._stream)
         assert good.find(1)["ok"] == 1.0
+        assert good.find(77)["cursor"]["firstBatch"] == []
     with ProtocolClient(server.address) as later:
         assert later.find(2)["ok"] == 1.0
+
+
+def test_finds_of_seeded_inserted_and_updated_keys_encode_nothing(server, monkeypatch):
+    from netkvcache import wire
+
+    encode_document, on_mock = wire.encode_document, []
+
+    def counted(doc):
+        if threading.current_thread().name == server.thread_name:
+            on_mock.append(doc)
+        return encode_document(doc)
+
+    monkeypatch.setattr(wire, "encode_document", counted)
+    with ProtocolClient(server.address) as client:
+        client.find(1)  # the collection's table is made here
+        client.request_doc({"insert": "phrases", "documents": [{"_id": 50, "phrase": "new"}]})
+        client.request_doc({
+            "update": "phrases",
+            "updates": [{"q": {"_id": 3}, "u": {"$set": {"phrase": "updated!"}}}],
+        })
+        on_mock.clear()
+        docs = [client.find(k) for k in (2, 50, 3, 2, 50, 3)]
+    assert on_mock == []
+    assert [d["cursor"]["firstBatch"][0]["phrase"] for d in docs[1:3]] == ["new", "updated!"]
 
 
 def test_unknown_command_gets_ok(server):
@@ -272,10 +296,10 @@ def test_frame_arriving_while_pipe_spins_is_not_delayed(server):
     assert abs(statistics.median(paired) - statistics.median(solo)) <= 0.5
 
 
-def test_processing_delay_applies_per_reply_not_per_loop():
-    slow = MockKVServer(keyspace=5, processing_delay=0.3).start()
+def test_pipe_delays_each_connection_not_the_loop(server):
+    pipe = DelayPipe(server.address, oneway_ms=150.0).start()
     try:
-        with ProtocolClient(slow.address) as a, ProtocolClient(slow.address) as b:
+        with ProtocolClient(pipe.address) as a, ProtocolClient(pipe.address) as b:
             t0 = time.perf_counter()
             ids = (a.send({"find": "phrases", "filter": {"_id": 1}}),
                    b.send({"find": "phrases", "filter": {"_id": 2}}))
@@ -284,7 +308,7 @@ def test_processing_delay_applies_per_reply_not_per_loop():
             elapsed = time.perf_counter() - t0
         assert 0.3 <= elapsed < 0.5
     finally:
-        slow.stop()
+        pipe.stop()
 
 
 def test_timers_run_in_due_order_and_ties_in_call_order():

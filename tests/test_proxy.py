@@ -10,6 +10,7 @@ import pytest
 from netkvcache import proxy as proxy_module
 from netkvcache.engine import store_key
 from netkvcache.loop import MAX_QUEUED_BYTES
+from netkvcache.netlab.delay import DelayPipe
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
@@ -90,8 +91,8 @@ def test_upstream_down_closes_client_but_proxy_survives(server):
         proxy.stop(grace=0.2)
 
 
-def test_client_disconnect_mid_flight_releases_session():
-    slow = MockKVServer(keyspace=10, processing_delay=0.4).start()
+def test_client_disconnect_mid_flight_releases_session(server):
+    slow = DelayPipe(server.address, oneway_ms=200.0).start()
     proxy = start_proxy(slow.address)
     find = {"find": "phrases", "filter": {"_id": {"$eq": 1}}}
     try:
@@ -104,7 +105,7 @@ def test_client_disconnect_mid_flight_releases_session():
         # A closed client looks half-closed, so the reply was still
         # relayed; the store holds exactly what the server answered.
         stored = proxy.store.get(store_key("phrases", canonical_key(1)))
-        with ProtocolClient(slow.address) as direct:
+        with ProtocolClient(server.address) as direct:
             assert stored.body == direct.request(find).body
     finally:
         proxy.stop(grace=0.2)
@@ -127,8 +128,8 @@ def test_half_closed_client_gets_its_reply_then_eof(server):
         proxy.stop(grace=0.2)
 
 
-def test_hit_does_not_overtake_an_owed_reply():
-    slow = MockKVServer(keyspace=10, processing_delay=0.2).start()
+def test_hit_does_not_overtake_an_owed_reply(server):
+    slow = DelayPipe(server.address, oneway_ms=100.0).start()
     proxy = start_proxy(slow.address)
     try:
         with ProtocolClient(proxy.address) as client:
@@ -514,8 +515,8 @@ def test_stop_does_not_wait_for_a_pending_stats_timer(tmp_path, server):
     assert time.monotonic() - t0 < 0.5
 
 
-def test_slow_upstream_delays_only_its_own_session():
-    slow = MockKVServer(keyspace=10, processing_delay=0.4).start()
+def test_slow_upstream_delays_only_its_own_session(server):
+    slow = DelayPipe(server.address, oneway_ms=200.0).start()
     proxy = start_proxy(slow.address)
     try:
         with ProtocolClient(proxy.address) as fast, ProtocolClient(proxy.address) as waiting:
@@ -527,6 +528,28 @@ def test_slow_upstream_delays_only_its_own_session():
             assert time.monotonic() - t0 < 0.05
             assert waiting.receive_response(request_id).header.response_to == request_id
         assert proxy.store.snapshot_stats().hits == 1
+    finally:
+        proxy.stop(grace=0.2)
+        slow.stop()
+
+
+def test_stop_drains_forwarded_requests_the_engine_does_not_track(server):
+    # An insert and a hello are relayed untracked; stop still waits for
+    # their replies, as it waits for a tracked find's.
+    slow = DelayPipe(server.address, oneway_ms=150.0).start()
+    proxy = start_proxy(slow.address)
+    insert = {"insert": "phrases", "documents": [{"_id": 60, "phrase": "new"}]}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            ids = [client.send(insert), client.send({"hello": 1})]
+            time.sleep(0.05)  # both are now upstream
+            t0 = time.monotonic()
+            proxy.stop(grace=1.0)
+            assert time.monotonic() - t0 < 0.9  # it stopped once both were answered
+            got = [read_message(client._stream) for _ in ids]
+        assert [m.header.response_to for m in got] == ids
+        assert decode_document(got[0].body)["n"] == 1
+        assert proxy.store.snapshot_stats().bypasses == 1
     finally:
         proxy.stop(grace=0.2)
         slow.stop()
