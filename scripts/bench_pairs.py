@@ -42,6 +42,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def pair_count(text: str) -> int:
+    """An argparse type: quartiles need at least two pairs."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {n}")
+    return n
+
+
 def export(rev: str, into: Path) -> str:
     """Write the tree of ``rev`` under ``into``; returns the full commit id."""
     commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
@@ -110,7 +118,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare the working tree with")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10, help="at least 2 (default: 10)")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, help="one seed for every pair")

@@ -21,33 +21,46 @@ from .scenario import (
 )
 
 
+def _list_of(convert, count: int | None = None):
+    """An argparse type: comma-separated finite values >= 0, ``count`` of them if given."""
+    def parse(text: str) -> list:
+        values = [convert(x) for x in text.split(",")]  # a bad number raises ValueError
+        if count not in (None, len(values)) or not all(0 <= v < float("inf") for v in values):
+            raise ValueError(text)
+        return values
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it in the error
+    return parse
+
+
+def positive(text: str) -> float:
+    if not float(text) > 0:
+        raise ValueError(text)
+    return float(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="B-ohio",
                         choices=sorted(SCENARIO_DELAYS) + ["custom"],
                         help="delay layout to emulate (default: B-ohio)")
-    parser.add_argument("--delays", default=None, metavar="D1,D2",
-                        help="custom one-way delays ms (client-cache,cache-server); "
+    parser.add_argument("--delays", default=None, type=_list_of(float, 2), metavar="D1,D2",
+                        help="custom one-way delays ms >= 0 (client-cache,cache-server); "
                              "required with --scenario custom")
     parser.add_argument("--keyspace", default=100, type=int)
     parser.add_argument("--batches", default=30, type=int)
     parser.add_argument("--per-batch", default=1000, type=int)
     parser.add_argument("--policy", default="noevict",
                         choices=[p.value for p in Policy])
-    parser.add_argument("--time-scale", default=1.0, type=float, metavar="D",
-                        help="divide all delays by D (default: 1, full scale)")
+    parser.add_argument("--time-scale", default=1.0, type=positive, metavar="D",
+                        help="divide all delays by D > 0 (default: 1, full scale)")
     parser.add_argument("--seed", default=42, type=int)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write summary.txt, requests.csv, throughput.csv, stats.csv here")
 
 
 def _config_from(args, capacity: int, with_cache: bool, out_dir=None) -> ScenarioConfig:
-    if args.scenario == "custom":
-        if not args.delays:
-            raise SystemExit("--scenario custom requires --delays D1,D2")
-        d1, d2 = (float(x) for x in args.delays.split(","))
-        delays = DelaySpec(d1, d2)
-    else:
-        delays = SCENARIO_DELAYS[args.scenario]
+    if args.scenario == "custom" and not args.delays:
+        raise SystemExit("--scenario custom requires --delays D1,D2")
+    delays = DelaySpec(*args.delays) if args.scenario == "custom" else SCENARIO_DELAYS[args.scenario]
     return ScenarioConfig(
         name=args.scenario,
         delays=delays,
@@ -78,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a capacity sweep plus no-cache baseline")
     _add_common(sweep)
-    sweep.add_argument("--capacities", default="10,30,70,100", metavar="LIST",
+    sweep.add_argument("--capacities", default="10,30,70,100", type=_list_of(int), metavar="LIST",
                        help="comma-separated capacities (default: 10,30,70,100)")
 
     mock = sub.add_parser("mock-server", help="run the mock key-value server standalone")
@@ -114,9 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "sweep":
-        capacities = [int(c) for c in args.capacities.split(",")]
-        cfg = _config_from(args, capacities[0], True)
-        sweep_result = run_capacity_sweep(cfg, capacities, args.out)
+        cfg = _config_from(args, args.capacities[0], True)
+        sweep_result = run_capacity_sweep(cfg, args.capacities, args.out)
         print(summarize(sweep_result), end="")
         return 0
 

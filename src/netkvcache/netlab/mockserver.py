@@ -117,11 +117,9 @@ class MockKVServer(Loop):
         table = self._table(collection)
         inserted = 0
         for doc in _dicts(body.get("documents")):
-            key = canonical_key(doc.get("_id"))
-            if key is None:
-                continue
-            table[key] = doc, _find_reply(collection, [doc])
-            inserted += 1
+            if "_id" in doc and (key := canonical_key(doc["_id"])) is not None:
+                table[key] = doc, _find_reply(collection, [doc])
+                inserted += 1
         return wire.encode_document({"n": inserted, "ok": 1.0})
 
     def _update(self, body: dict, collection: str) -> bytes:

@@ -171,6 +171,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         report = run_workload(upstream, workload_cfg, outcomes)
 
         if proxy is not None:
+            proxy.stop()  # the store is the loop thread's until it stops
             stats = proxy.store.snapshot_stats()
             report.store_stats = vars(stats).copy()
             report.store_entries = proxy.store.entry_count()

@@ -1,14 +1,13 @@
 """TCP proxy front: accept clients, splice to the upstream server, and pump
 messages through the flow classifier and cache engine in both directions.
 
-``CacheProxy`` is a ``loop.Loop``: its one thread owns every session's
-sockets, buffers and pending table, so none of them needs a lock.
+``CacheProxy`` is a ``loop.Loop``: its one thread owns the store and
+every session's sockets, buffers and pending table, so none needs a lock.
 Upstream connects are non-blocking, so a slow or hanging upstream holds
 up only its own session, and a loop timer ends a session whose connect
 takes too long. Once connected, a session is two legs, client and
 upstream, each handing its frames to the engine. Another timer writes
-each statistics row to ``stats_out`` as it is taken. The ``CacheStore``
-keeps its lock because callers outside the loop read it too.
+each statistics row to ``stats_out`` as it is taken.
 
 Coordination traffic is relayed byte-identically; manipulation traffic
 goes through the engine, which may answer reads locally without
@@ -145,7 +144,7 @@ class Session(Connection):
 
 
 class CacheProxy(Loop):
-    """The listening proxy; owns the shared store and all sessions."""
+    """The listening proxy; owns the store and all sessions."""
 
     thread_name = "proxy-loop"
 

@@ -6,16 +6,15 @@ counter, bumped on every invalidation; a fill must present the epoch
 token it obtained at miss time, which rejects any fill that an
 invalidation overtook while the server round trip was in flight.
 
-All operations are linearizable: a single lock guards every mutation and
-read. The proxy's loop thread is the only writer, but callers outside
-the loop, such as the lab and the tests, read the store while it runs.
+A store has one owner, the thread that runs the proxy, and takes no
+lock. Other threads read it only once the proxy has stopped: the join in
+``stop`` orders every write of the loop thread before those reads.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any
@@ -99,7 +98,7 @@ class Miss:
 
 
 class CacheStore:
-    """Shared key -> response-body store, safe to read from any thread."""
+    """Key -> response-body store, kept by one owning thread (see above)."""
 
     def __init__(self, capacity: int, policy: Policy = Policy.NOEVICT):
         if capacity < 0:
@@ -110,19 +109,17 @@ class CacheStore:
         self._epochs: dict[CacheKey, int] = {}
         self._global_epoch = 0
         self._stats = CacheStats()
-        self._lock = threading.Lock()
 
     def get(self, key: CacheKey) -> Hit | Miss:
         """Look up a key; a miss returns the epoch token for the later fill."""
-        with self._lock:
-            body = self._entries.get(key)
-            if body is not None:
-                self._stats.hits += 1
-                if self.policy is Policy.LRU:
-                    self._entries.move_to_end(key)
-                return Hit(body)
-            self._stats.misses += 1
-            return Miss((self._epochs.get(key, 0), self._global_epoch))
+        body = self._entries.get(key)
+        if body is not None:
+            self._stats.hits += 1
+            if self.policy is Policy.LRU:
+                self._entries.move_to_end(key)
+            return Hit(body)
+        self._stats.misses += 1
+        return Miss((self._epochs.get(key, 0), self._global_epoch))
 
     def put(self, key: CacheKey, body: bytes, token: FillToken) -> PutOutcome:
         """Conditionally store a response captured for an earlier miss.
@@ -132,49 +129,42 @@ class CacheStore:
         is room — under NOEVICT a full store rejects the fill, under
         FIFO/LRU one resident entry is evicted to make room.
         """
-        with self._lock:
-            key_epoch = self._epochs.get(key, 0)
-            if token != (key_epoch, self._global_epoch):
+        key_epoch = self._epochs.get(key, 0)
+        if token != (key_epoch, self._global_epoch):
+            self._stats.rejected_fills += 1
+            return PutOutcome.REJECTED_STALE
+        if key not in self._entries and len(self._entries) >= self.capacity:
+            if self.policy is Policy.NOEVICT or self.capacity == 0:
                 self._stats.rejected_fills += 1
-                return PutOutcome.REJECTED_STALE
-            if key not in self._entries and len(self._entries) >= self.capacity:
-                if self.policy is Policy.NOEVICT or self.capacity == 0:
-                    self._stats.rejected_fills += 1
-                    return PutOutcome.REJECTED_FULL
-                self._entries.popitem(last=False)
-            self._entries[key] = body
-            if self.policy is Policy.LRU:
-                self._entries.move_to_end(key)
-            self._stats.fills += 1
-            return PutOutcome.STORED
+                return PutOutcome.REJECTED_FULL
+            self._entries.popitem(last=False)
+        self._entries[key] = body
+        if self.policy is Policy.LRU:
+            self._entries.move_to_end(key)
+        self._stats.fills += 1
+        return PutOutcome.STORED
 
     def invalidate(self, key: CacheKey) -> None:
         """Drop a key and bump its epoch, rejecting any in-flight fill."""
-        with self._lock:
-            self._entries.pop(key, None)
-            self._epochs[key] = self._epochs.get(key, 0) + 1
-            self._stats.invalidations += 1
+        self._entries.pop(key, None)
+        self._epochs[key] = self._epochs.get(key, 0) + 1
+        self._stats.invalidations += 1
 
     def invalidate_all(self) -> None:
         """Drop everything and bump the global epoch."""
-        with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-            self._global_epoch += 1
-            self._stats.invalidations += removed
+        removed = len(self._entries)
+        self._entries.clear()
+        self._global_epoch += 1
+        self._stats.invalidations += removed
 
     def record_bypass(self) -> None:
-        with self._lock:
-            self._stats.bypasses += 1
+        self._stats.bypasses += 1
 
     def snapshot_stats(self) -> CacheStats:
-        with self._lock:
-            return self._stats.copy()
+        return self._stats.copy()
 
     def entry_count(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def resident_keys(self) -> list[CacheKey]:
-        with self._lock:
-            return list(self._entries.keys())
+        return list(self._entries.keys())

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from netkvcache import cli as proxy_cli
 from netkvcache.netlab import cli as netlab_cli
 
@@ -99,6 +101,20 @@ def test_netlab_cli_sweep_tiny(capsys):
 
 
 def test_netlab_cli_custom_requires_delays():
-    import pytest
     with pytest.raises(SystemExit):
         netlab_cli.main(["run", "--scenario", "custom", "--batches", "1", "--per-batch", "1"])
+
+
+
+@pytest.mark.parametrize("option, args", [
+    ("--delays", ["run", "--scenario", "custom", "--delays", "5"]),
+    ("--delays", ["run", "--scenario", "custom", "--delays=-1,5"]),
+    ("--time-scale", ["run", "--time-scale", "0"]),
+    ("--capacities", ["sweep", "--capacities", "10,x"]),
+    ("--capacities", ["sweep", "--capacities", "-5"]),
+])
+def test_netlab_cli_rejects_bad_numbers_with_a_usage_error(option, args, capsys):
+    with pytest.raises(SystemExit) as exited:
+        netlab_cli.main(args + ["--keyspace", "2", "--batches", "1", "--per-batch", "1"])
+    assert exited.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err

@@ -74,6 +74,14 @@ def test_insert_then_find_then_delete(server):
         assert client.find(50)["cursor"]["firstBatch"] == []
 
 
+def test_insert_without_id_stores_nothing_and_a_null_id_update_gets_a_reply(server):
+    replace_null = {"update": "phrases", "updates": [{"q": {"_id": None}, "u": {"v": 2}}]}
+    with ProtocolClient(server.address) as client:
+        assert client.request_doc({"insert": "phrases", "documents": [{"v": 1}]})["n"] == 0
+        assert client.request_doc(replace_null)["n"] == 0
+        assert client.find(None)["cursor"]["firstBatch"] == []
+
+
 def test_malformed_document_gets_error_response(server):
     import socket as socket_mod
     from netkvcache.wire import MessageHeader, RawMessage, SocketStream, write_message

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import socket
 import threading
 import time
@@ -14,7 +15,7 @@ from netkvcache.netlab.delay import DelayPipe
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
-from netkvcache.storage import Policy, canonical_key
+from netkvcache.storage import CacheStore, Policy, canonical_key
 from netkvcache.wire import ConnectionClosed, SocketStream, decode_document, read_message
 
 
@@ -39,10 +40,10 @@ def test_hit_serves_same_document_without_second_upstream_trip(server):
             first = client.find(7)
             second = client.find(7)
         assert first["cursor"]["firstBatch"] == second["cursor"]["firstBatch"]
-        stats = proxy.store.snapshot_stats()
-        assert (stats.misses, stats.hits, stats.fills) == (1, 1, 1)
     finally:
         proxy.stop(grace=0.2)
+    stats = proxy.store.snapshot_stats()
+    assert (stats.misses, stats.hits, stats.fills) == (1, 1, 1)
 
 
 def test_two_concurrent_clients_disjoint_keys(server):
@@ -59,9 +60,9 @@ def test_two_concurrent_clients_disjoint_keys(server):
         t1.start(); t2.start(); t1.join(); t2.join()
         assert results["a"] == list(range(1, 21))
         assert results["b"] == list(range(21, 41))
-        assert proxy.store.entry_count() == 40
     finally:
         proxy.stop(grace=0.2)
+    assert proxy.store.entry_count() == 40
 
 
 def test_upstream_down_closes_client_but_proxy_survives(server):
@@ -102,14 +103,14 @@ def test_client_disconnect_mid_flight_releases_session(server):
         client.close()
         time.sleep(0.8)   # response arrives after the client closed
         assert proxy.session_count() == 0
-        # A closed client looks half-closed, so the reply was still
-        # relayed; the store holds exactly what the server answered.
-        stored = proxy.store.get(store_key("phrases", canonical_key(1)))
-        with ProtocolClient(server.address) as direct:
-            assert stored.body == direct.request(find).body
     finally:
         proxy.stop(grace=0.2)
         slow.stop()
+    # A closed client looks half-closed, so the reply was still
+    # relayed; the store holds exactly what the server answered.
+    stored = proxy.store.get(store_key("phrases", canonical_key(1)))
+    with ProtocolClient(server.address) as direct:
+        assert stored.body == direct.request(find).body
 
 
 def test_half_closed_client_gets_its_reply_then_eof(server):
@@ -138,11 +139,11 @@ def test_hit_does_not_overtake_an_owed_reply(server):
                    for k in (2, 1)]  # a miss, then a read of the cached key
             got = [read_message(client._stream).header.response_to for _ in ids]
         assert got == ids == [2, 3]
-        stats = proxy.store.snapshot_stats()
-        assert (stats.hits, stats.misses, stats.bypasses) == (0, 2, 1)
     finally:
         proxy.stop(grace=0.2)
         slow.stop()
+    stats = proxy.store.snapshot_stats()
+    assert (stats.hits, stats.misses, stats.bypasses) == (0, 2, 1)
 
 
 def test_write_to_one_collection_leaves_another_cached_and_current(server):
@@ -157,9 +158,9 @@ def test_write_to_one_collection_leaves_another_cached_and_current(server):
             via_proxy = client.request(find_b)
         with ProtocolClient(server.address) as direct:
             assert direct.request(find_b).body == via_proxy.body
-        assert proxy.store.snapshot_stats().hits == 1
     finally:
         proxy.stop(grace=0.2)
+    assert proxy.store.snapshot_stats().hits == 1
 
 
 def test_write_naming_an_integral_double_id_invalidates_the_int_key(server):
@@ -191,11 +192,11 @@ def test_cache_keys_are_scoped_by_collection(server):
         with ProtocolClient(fresh.address) as direct:
             expected = direct.request(find_b)
         assert got.body == expected.body
-        stats = proxy.store.snapshot_stats()
-        assert (stats.hits, stats.misses) == (0, 2)
     finally:
         proxy.stop(grace=0.2)
         fresh.stop()
+    stats = proxy.store.snapshot_stats()
+    assert (stats.hits, stats.misses) == (0, 2)
 
 
 def test_collection_not_named_by_a_string_is_never_cached(server):
@@ -208,15 +209,15 @@ def test_collection_not_named_by_a_string_is_never_cached(server):
             client.request({"find": 5, "filter": {"_id": {"$eq": 1}}})
             got = client.request(find_6)
             client.find(2)
-            assert proxy.store.entry_count() == 1
+            client.find(2)  # a hit: key 2 was cached
             client.request(update_7)  # a keyed write, but the key is unscoped
-            assert proxy.store.entry_count() == 0
+            client.find(2)  # a miss: the write dropped every entry
         with ProtocolClient(server.address) as direct:
             assert direct.request(find_6).body == got.body
-        stats = proxy.store.snapshot_stats()
-        assert (stats.hits, stats.misses, stats.bypasses) == (0, 1, 2)
     finally:
         proxy.stop(grace=0.2)
+    stats = proxy.store.snapshot_stats()
+    assert (stats.hits, stats.misses, stats.bypasses) == (1, 2, 2)
 
 
 def test_coordination_traffic_passes_byte_identically(server):
@@ -243,10 +244,10 @@ def test_coordination_soak_1000_messages_byte_identical(server):
             for i in range(1000):
                 proxied.request({"ping": i})
         assert proxied.transcript == direct.transcript
-        stats = proxy.store.snapshot_stats()
-        assert stats.hits == stats.misses == stats.bypasses == 0
     finally:
         proxy.stop(grace=0.2)
+    stats = proxy.store.snapshot_stats()
+    assert stats.hits == stats.misses == stats.bypasses == 0
 
 
 def test_oversize_message_tears_down_session_only(server):
@@ -286,12 +287,12 @@ def test_capacity_zero_never_stores_and_still_answers(server):
             for _ in range(3):
                 doc = client.find(5)
                 assert doc["cursor"]["firstBatch"][0]["_id"] == 5
-        stats = proxy.store.snapshot_stats()
-        assert stats.misses == 3 and stats.hits == 0
-        assert stats.rejected_fills == 3 and stats.fills == 0
-        assert proxy.store.entry_count() == 0
     finally:
         proxy.stop(grace=0.2)
+    stats = proxy.store.snapshot_stats()
+    assert stats.misses == 3 and stats.hits == 0
+    assert stats.rejected_fills == 3 and stats.fills == 0
+    assert proxy.store.entry_count() == 0
 
 
 def test_bind_failure_raises():
@@ -471,11 +472,11 @@ def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
             got = [read_message(client._stream).to_bytes() for _ in finds]
         assert MAX_QUEUED_BYTES <= peak <= MAX_QUEUED_BYTES + largest
         # A hit carries a request id of the proxy's own; all else is the server's.
-        assert proxy.store.snapshot_stats().hits == len(finds)
         assert [f[:4] + f[8:] for f in got] == [f[:4] + f[8:] for f in expected]
     finally:
         proxy.stop(grace=0.2)
         big.stop()
+    assert proxy.store.snapshot_stats().hits == len(finds)
 
 
 def test_ended_session_drops_what_its_legs_held():
@@ -527,10 +528,10 @@ def test_slow_upstream_delays_only_its_own_session(server):
             assert fast.find(1)["cursor"]["firstBatch"][0]["_id"] == 1
             assert time.monotonic() - t0 < 0.05
             assert waiting.receive_response(request_id).header.response_to == request_id
-        assert proxy.store.snapshot_stats().hits == 1
     finally:
         proxy.stop(grace=0.2)
         slow.stop()
+    assert proxy.store.snapshot_stats().hits == 1
 
 
 def test_stop_drains_forwarded_requests_the_engine_does_not_track(server):
@@ -553,3 +554,43 @@ def test_stop_drains_forwarded_requests_the_engine_does_not_track(server):
     finally:
         proxy.stop(grace=0.2)
         slow.stop()
+
+
+def test_only_the_loop_thread_touches_a_running_proxys_store(tmp_path, server, monkeypatch):
+    calls, phase = [], ["starting"]
+
+    def recorded(name, method):
+        def call(*args, **kwargs):
+            calls.append((phase[0], name, threading.current_thread().name))
+            return method(*args, **kwargs)
+        return call
+
+    for name, method in inspect.getmembers(CacheStore, inspect.isfunction):
+        if not name.startswith("_"):
+            monkeypatch.setattr(CacheStore, name, recorded(name, method))
+    proxy = start_proxy(server.address, stats_interval=0.05, stats_out=str(tmp_path / "s.csv"))
+    phase[0] = "running"
+    keyed = {"update": "phrases",
+             "updates": [{"q": {"_id": 1}, "u": {"$set": {"phrase": "new"}}}]}
+    unkeyed = {"update": "phrases",
+               "updates": [{"q": {"phrase": "new"}, "u": {"$set": {"phrase": "newer"}}}]}
+    two_statements = {"update": "phrases", "updates": keyed["updates"] * 2}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.find(1)  # a miss and its fill
+            client.find(1)  # a hit
+            client.request(keyed)
+            client.request(unkeyed)
+            client.request(two_statements)  # a bypass
+            client.request({"find": "phrases", "filter": {"_id": {"$gt": 3}}})  # a bypass
+        time.sleep(0.15)  # stats rows fall due
+    finally:
+        phase[0] = "stopping"
+        proxy.stop(grace=0.2)
+    running = [(name, thread) for when, name, thread in calls if when == "running"]
+    assert {thread for _, thread in running} == {"proxy-loop"}
+    names = [name for name, _ in running]
+    assert {"get", "put", "invalidate", "invalidate_all", "record_bypass"} <= set(names)
+    assert names.count("snapshot_stats") >= 2 and names.count("entry_count") >= 2
+    stats = proxy.store.snapshot_stats()
+    assert (stats.hits, stats.misses, stats.fills, stats.bypasses) == (1, 1, 1, 2)
