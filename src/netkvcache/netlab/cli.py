@@ -32,10 +32,14 @@ def _list_of(convert, count: int | None = None):
     return parse
 
 
-def positive(text: str) -> float:
-    if not float(text) > 0:
-        raise ValueError(text)
-    return float(text)
+def _above(convert, low):
+    """An argparse type: a ``convert`` number greater than ``low``."""
+    def parse(text: str):
+        if not convert(text) > low:  # NaN is not
+            raise ValueError(text)
+        return convert(text)
+    parse.__name__ = f"{convert.__name__} > {low}"  # argparse names it in the error
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -45,12 +49,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delays", default=None, type=_list_of(float, 2), metavar="D1,D2",
                         help="custom one-way delays ms >= 0 (client-cache,cache-server); "
                              "required with --scenario custom")
-    parser.add_argument("--keyspace", default=100, type=int)
-    parser.add_argument("--batches", default=30, type=int)
-    parser.add_argument("--per-batch", default=1000, type=int)
+    parser.add_argument("--keyspace", default=100, type=_above(int, 0))
+    parser.add_argument("--batches", default=30, type=_above(int, 0))
+    parser.add_argument("--per-batch", default=1000, type=_above(int, 0))
     parser.add_argument("--policy", default="noevict",
                         choices=[p.value for p in Policy])
-    parser.add_argument("--time-scale", default=1.0, type=positive, metavar="D",
+    parser.add_argument("--time-scale", default=1.0, type=_above(float, 0), metavar="D",
                         help="divide all delays by D > 0 (default: 1, full scale)")
     parser.add_argument("--seed", default=42, type=int)
     parser.add_argument("--out", default=None, metavar="DIR",
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario cell")
     _add_common(run)
-    run.add_argument("--capacity", default=100, type=int)
+    run.add_argument("--capacity", default=100, type=_above(int, -1))
     run.add_argument("--no-cache", action="store_true",
                      help="measure the direct path instead of the cached one")
 

@@ -5,9 +5,10 @@ soon as it is read: distance is the delay pipes' job. Reads answer with a
 cursor document (`firstBatch` holding the record, or empty for unknown
 keys); writes mutate the in-memory table; anything unrecognized gets a
 minimal `ok` acknowledgment so coordination traffic flows. Each
-collection has its own table, seeded alike on first use. A table entry
-holds a document and its encoded find reply, made when the entry is
-seeded, inserted or updated, so a find only looks its reply up.
+collection has its own table, seeded alike on first use. The mock
+validates a request by decoding it, then replays the bytes it received: a
+table entry holds a document and its find reply, spliced around the
+document's bytes as inserted (or as encoded once when seeded or updated).
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ import itertools
 import random
 import socket
 import string
+import struct
 
 from .. import wire
 from ..engine import extract_key
 from ..loop import Connection, Leg, Loop
 from ..storage import canonical_key
+
+
+_u32 = struct.Struct("<I").pack
 
 
 def _seeded_phrase(rng: random.Random, size: int) -> str:
@@ -32,11 +37,21 @@ def _dicts(value) -> list[dict]:
     return [v for v in value if isinstance(v, dict)] if isinstance(value, list) else []
 
 
-def _find_reply(collection: str, batch: list[dict]) -> bytes:
-    return wire.encode_document({
-        "cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"},
-        "ok": 1.0,
-    })
+def _fields(data: bytes, start: int = 0, end: int | None = None) -> dict:
+    """name -> (tag, start, end) of each value, a repeated name kept as the decoder keeps it."""
+    return {name: (tag, s, e) for tag, name, s, e in wire.elements(data, start, end)}
+
+
+def _find_reply(collection: str, doc: bytes = b"") -> bytes:
+    """``encode_document({"cursor": {"firstBatch": [doc], "id": 0, "ns": "kv.<collection>"},
+    "ok": 1.0})``, spliced around the encoded ``doc`` (no ``doc``: an empty batch)."""
+    batch = b"\x030\x00" + doc if doc else b""
+    ns = f"kv.{collection}".encode()
+    cursor = 39 + len(batch) + len(ns)  # 4 + 20 (3 heads) + 5 ([]) + 4 (id) + 5 ("") + 1 (NUL)
+    return b"".join((
+        _u32(cursor + 25), b"\x03cursor\x00", _u32(cursor), b"\x04firstBatch\x00",
+        _u32(len(batch) + 5), batch, b"\x00\x10id\x00\x00\x00\x00\x00\x02ns\x00",
+        _u32(len(ns) + 1), ns, b"\x00\x00\x01ok\x00" + struct.pack("<d", 1.0) + b"\x00"))
 
 
 class MockKVServer(Loop):
@@ -56,11 +71,11 @@ class MockKVServer(Loop):
         super().__init__(listen)
         self.record_transcript = record_transcript
         rng = random.Random(seed)
-        self._seeded = {  # what each collection's table starts as; never mutated
-            canonical_key(k): {"_id": k, "phrase": _seeded_phrase(rng, doc_size)}
-            for k in range(1, keyspace + 1)
-        }
-        # collection -> key -> (document, its encoded find reply)
+        self._seeded = {}  # key -> (document, its encoding): each table's start; never mutated
+        for k in range(1, keyspace + 1):
+            doc = {"_id": k, "phrase": _seeded_phrase(rng, doc_size)}
+            self._seeded[canonical_key(k)] = doc, wire.encode_document(doc)
+        # collection -> key -> (document, its find reply)
         self._tables: dict[str, dict[bytes, tuple[dict, bytes]]] = {}
         self.transcripts: list[dict[str, list[bytes]]] = []
 
@@ -68,7 +83,7 @@ class MockKVServer(Loop):
         table = self._tables.get(collection)
         if table is None:
             table = self._tables[collection] = {
-                k: (doc, _find_reply(collection, [doc])) for k, doc in self._seeded.items()
+                k: (doc, _find_reply(collection, data)) for k, (doc, data) in self._seeded.items()
             }
         return table
 
@@ -102,7 +117,7 @@ class MockKVServer(Loop):
         if first == "find":
             return self._find(body, collection)
         if first == "insert":
-            return self._insert(body, collection)
+            return self._insert(body, collection, m.body)
         if first == "update":
             return self._update(body, collection)
         if first == "delete":
@@ -111,14 +126,18 @@ class MockKVServer(Loop):
 
     def _find(self, body: dict, collection: str) -> bytes:
         entry = self._table(collection).get(extract_key(body.get("filter")))
-        return entry[1] if entry is not None else _find_reply(collection, [])
+        return entry[1] if entry is not None else _find_reply(collection)
 
-    def _insert(self, body: dict, collection: str) -> bytes:
+    def _insert(self, body: dict, collection: str, data: bytes) -> bytes:
         table = self._table(collection)
         inserted = 0
-        for doc in _dicts(body.get("documents")):
+        # ``body`` is ``data`` decoded: pair its documents with their bytes.
+        tag, start, end = _fields(data).get("documents", (None, 0, 0))
+        spans = [(s, e) for t, s, e in _fields(data, start, end).values()
+                 if t == wire.TAG_DOCUMENT] if tag == wire.TAG_ARRAY else []
+        for doc, (start, end) in zip(_dicts(body.get("documents")), spans):
             if "_id" in doc and (key := canonical_key(doc["_id"])) is not None:
-                table[key] = doc, _find_reply(collection, [doc])
+                table[key] = doc, _find_reply(collection, data[start:end])
                 inserted += 1
         return wire.encode_document({"n": inserted, "ok": 1.0})
 
@@ -136,7 +155,7 @@ class MockKVServer(Loop):
             else:
                 fresh = dict(change)
                 fresh["_id"] = doc["_id"]
-            table[key] = fresh, _find_reply(collection, [fresh])
+            table[key] = fresh, _find_reply(collection, wire.encode_document(fresh))
             modified += 1
         return wire.encode_document({"n": modified, "nModified": modified, "ok": 1.0})
 

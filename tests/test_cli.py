@@ -112,9 +112,15 @@ def test_netlab_cli_custom_requires_delays():
     ("--time-scale", ["run", "--time-scale", "0"]),
     ("--capacities", ["sweep", "--capacities", "10,x"]),
     ("--capacities", ["sweep", "--capacities", "-5"]),
+    ("--capacity", ["run", "--capacity", "-1"]),
+    ("--keyspace", ["run", "--keyspace", "0"]),
+    ("--keyspace", ["sweep", "--keyspace", "-3"]),
+    ("--batches", ["run", "--batches", "0"]),
+    ("--per-batch", ["sweep", "--per-batch", "0"]),
 ])
 def test_netlab_cli_rejects_bad_numbers_with_a_usage_error(option, args, capsys):
-    with pytest.raises(SystemExit) as exited:
-        netlab_cli.main(args + ["--keyspace", "2", "--batches", "1", "--per-batch", "1"])
+    with pytest.raises(SystemExit) as exited:  # small defaults first: the last of an option wins
+        netlab_cli.main([args[0], "--keyspace", "2", "--batches", "1", "--per-batch", "1",
+                         *args[1:]])
     assert exited.value.code == 2
     assert f"argument {option}:" in capsys.readouterr().err

@@ -7,11 +7,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netkvcache import wire
 from netkvcache.loop import MAX_QUEUED_BYTES, Loop
 from netkvcache.netlab import delay
 from netkvcache.netlab.delay import DelayPipe
-from netkvcache.netlab.mockserver import MockKVServer
+from netkvcache.netlab.mockserver import MockKVServer, _find_reply
 from netkvcache.netlab.scenario import (
     SCENARIO_DELAYS,
     DelaySpec,
@@ -101,28 +104,74 @@ def _doc(*elements: bytes) -> bytes:
     return (len(body) + 4).to_bytes(4, "little") + body
 
 
+def _int32(name: bytes, value: int) -> bytes:
+    return b"\x10" + name + b"\x00" + value.to_bytes(4, "little", signed=True)
+
+
 def test_reply_that_cannot_be_encoded_ends_only_its_connection(server):
     from netkvcache.wire import ConnectionClosed, make_message, write_message
 
-    # The decoder accepts an empty field name; the encoder refuses it, so
-    # the insert of this document fails while its find reply is built.
-    unencodable = _doc(b"\x10_id\x00" + (77).to_bytes(4, "little"),
-                       b"\x10\x00" + (1).to_bytes(4, "little"))
-    insert = _doc(b"\x02insert\x00" + (8).to_bytes(4, "little") + b"phrases\x00",
-                  b"\x04documents\x00" + _doc(b"\x030\x00" + unencodable))
+    # The decoder accepts an empty field name; the encoder refuses it, so an
+    # update that merges one into a document fails while the merged document
+    # is encoded. (An insert of such a document is replayed, never encoded.)
+    statement = _doc(b"\x03q\x00" + _doc(_int32(b"_id", 7)),
+                     b"\x03u\x00" + _doc(b"\x03$set\x00" + _doc(_int32(b"", 1))))
+    update = _doc(b"\x02update\x00" + (8).to_bytes(4, "little") + b"phrases\x00",
+                  b"\x04updates\x00" + _doc(b"\x030\x00" + statement))
     with ProtocolClient(server.address) as bad, ProtocolClient(server.address) as good:
-        write_message(bad._stream, make_message(1, 0, insert))
+        before = good.find(7)["cursor"]["firstBatch"]
+        write_message(bad._stream, make_message(1, 0, update))
         with pytest.raises(ConnectionClosed):
             read_message(bad._stream)
         assert good.find(1)["ok"] == 1.0
-        assert good.find(77)["cursor"]["firstBatch"] == []
+        assert good.find(7)["cursor"]["firstBatch"] == before != []
     with ProtocolClient(server.address) as later:
         assert later.find(2)["ok"] == 1.0
+        assert later.find(7)["cursor"]["firstBatch"] == before
+
+
+def test_inserted_document_comes_back_byte_for_byte(server):
+    # An int64-tagged 5 is not what the encoder writes for 5 (it picks int32);
+    # the find reply replays the document as it was sent.
+    sent = _doc(b"\x12_id\x00" + (5).to_bytes(8, "little"), _int32(b"v", 1))
+    insert = _doc(b"\x02insert\x00" + (8).to_bytes(4, "little") + b"phrases\x00",
+                  b"\x04documents\x00" + _doc(b"\x030\x00" + sent))
+    assert encode_document(wire.decode_document(sent)) != sent
+    with ProtocolClient(server.address) as client:
+        wire.write_message(client._stream, make_message(1, 0, insert))
+        assert wire.decode_document(read_message(client._stream).body)["n"] == 1
+        reply = client.request({"find": "phrases", "filter": {"_id": 5}}).body
+    assert reply == _find_reply("phrases", sent)
+    assert sent in reply
+
+
+SPLICE_VALUES = st.recursive(
+    st.one_of(st.integers(-(2**63), 2**63 - 1), st.floats(), st.text(max_size=6),
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(min_size=1, max_size=4), inner, max_size=3)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=8), st.none() | st.dictionaries(st.text(min_size=1, max_size=4),
+                                                        SPLICE_VALUES, max_size=4))
+def test_spliced_find_reply_equals_the_encoded_cursor(collection, doc):
+    def cursor(batch):
+        return {"cursor": {"firstBatch": batch, "id": 0, "ns": f"kv.{collection}"}, "ok": 1.0}
+
+    if doc is None:  # the empty batch of an unknown key
+        assert _find_reply(collection) == encode_document(cursor([]))
+        return
+    try:
+        data = encode_document(doc)
+    except wire.UnsupportedType:  # a NUL in a field name
+        return
+    assert _find_reply(collection, data) == encode_document(cursor([doc]))
 
 
 def test_finds_of_seeded_inserted_and_updated_keys_encode_nothing(server, monkeypatch):
-    from netkvcache import wire
-
     encode_document, on_mock = wire.encode_document, []
 
     def counted(doc):
@@ -132,8 +181,10 @@ def test_finds_of_seeded_inserted_and_updated_keys_encode_nothing(server, monkey
 
     monkeypatch.setattr(wire, "encode_document", counted)
     with ProtocolClient(server.address) as client:
-        client.find(1)  # the collection's table is made here
+        client.find(1)  # the collection's table is made here, from documents encoded at start
+        assert on_mock == []
         client.request_doc({"insert": "phrases", "documents": [{"_id": 50, "phrase": "new"}]})
+        assert on_mock == [{"n": 1, "ok": 1.0}]  # the ack; the document is kept as sent
         client.request_doc({
             "update": "phrases",
             "updates": [{"q": {"_id": 3}, "u": {"$set": {"phrase": "updated!"}}}],
