@@ -5,15 +5,17 @@ Usage, from the repository root:
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         [--pairs 10] [--workload NAME ...] [--seed N] [--trace 0|1]
 
-The parent is exported with ``git archive`` into a temporary directory,
-so the repository's own checkout and metadata are left as they are.
-Each pair runs ``perfbench/run.py`` once on each side with the same seed
-(100 + pair number unless ``--seed`` fixes one); the parent goes first
-on odd pairs and the working tree on even ones. Each run lasts
-BENCHMARK.json's ``run_seconds``, and the workloads default to its list.
-Every run compiles the sources afresh on both sides: bytecode is neither
-written nor read from the trees' ``__pycache__`` directories, because
-``proxy_rss_mb`` moves with the compiling.
+Both sides are exported fresh into a temporary directory, with no
+``__pycache__`` in either: the parent with ``git archive``, the working
+tree as the files ``git add -A`` would commit. The repository's own
+checkout and metadata are left as they are. Each pair runs
+``perfbench/run.py`` once on each side with the same seed (100 + pair
+number unless ``--seed`` fixes one); the parent goes first on odd pairs
+and the working tree on even ones. Each run lasts BENCHMARK.json's
+``run_seconds``, and the workloads default to its list. The runs use
+Python's default bytecode handling, as ``perfbench/run.py`` is run on
+its own: each tree's first run writes its ``__pycache__``, later runs
+read it. The ``PYTHON*`` environment of the runs is recorded per set.
 
 Every metric a run prints is kept per pair, with each side's median and
 quartiles and the number of pairs the working tree won, by the direction
@@ -32,6 +34,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +62,16 @@ def export(rev: str, into: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     return commit
+
+
+def export_working_tree(into: Path) -> None:
+    """Copy under ``into`` every file ``git add -A`` would commit."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True).stdout
+    for name in listed.decode().split("\0"):
+        if name and (ROOT / name).is_file():  # a deleted file stays listed until staged
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -135,13 +148,17 @@ def main() -> int:
         "layout": json.loads((ROOT / "perfbench" / "layout.json").read_text()),
         "sets": [],
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree, pycache = Path(tmp) / "tree", Path(tmp) / "pycache"
-        commit = export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(pycache))
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        commit = export(args.parent, trees["parent"])
+        export_working_tree(trees["change"])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
         result = {"parent": commit, "change": "working tree", "seconds": spec["run_seconds"],
-                  "trace": args.trace, "pairs": args.pairs, "workloads": {}}
+                  "trace": args.trace, "pairs": args.pairs,
+                  "env": {k: v for k, v in env.items() if k.startswith("PYTHON")},
+                  "trees": "fresh exports, no __pycache__ before the first run",
+                  "workloads": {}}
         out["sets"].append(result)
         for workload in workloads:
             pairs = []

@@ -14,9 +14,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="netkv-cache",
         description="Transparent caching proxy for a key-value wire protocol.",
     )
-    parser.add_argument("--listen", required=True, metavar="HOST:PORT",
+    parser.add_argument("--listen", required=True, type=parse_address, metavar="HOST:PORT",
                         help="address to accept client connections on")
-    parser.add_argument("--upstream", required=True, metavar="HOST:PORT",
+    parser.add_argument("--upstream", required=True, type=parse_address, metavar="HOST:PORT",
                         help="address of the key-value server")
     parser.add_argument("--capacity", required=True, type=int, metavar="N",
                         help="maximum number of cached entries (0 disables caching)")
@@ -37,10 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = ProxyConfig(
-        listen=parse_address(args.listen),
-        upstream=parse_address(args.upstream),
+        listen=args.listen,
+        upstream=args.upstream,
         capacity=args.capacity,
-        policy=Policy.parse(args.policy),
+        policy=Policy(args.policy),
         log_level=args.log_level,
         stats_interval=args.stats_interval,
         stats_out=args.stats_out,

@@ -25,7 +25,7 @@ from .flows import COMMAND_KEYWORDS
 from .storage import CacheKey, CacheStore, FillToken, Hit, canonical_key
 from .wire import (
     TAG_ARRAY, TAG_DOCUMENT, MalformedDocument, RawMessage, decode_document,
-    decode_value, elements, make_message,
+    decode_value, elements, fields, make_message,
 )
 
 
@@ -133,13 +133,6 @@ def parse_command(m: RawMessage) -> Command:
     return Command(kind, key, m)
 
 
-def _fields(body: bytes, start: int = 0, end: int | None = None) -> dict[str, tuple[int, int, int]]:
-    """``(tag, value_start, value_end)`` by name for each element of the
-    document at ``body[start:end]``; a repeated name keeps its last
-    occurrence, as in a decoded document."""
-    return {name: (tag, vstart, vend) for tag, name, vstart, vend in elements(body, start, end)}
-
-
 def response_is_cacheable(body: bytes) -> bool:
     """True if a response is a successful read with a non-empty batch.
 
@@ -149,13 +142,13 @@ def response_is_cacheable(body: bytes) -> bool:
     by their length prefixes, and the batch only up to its first element.
     """
     try:
-        top = _fields(body)
+        top = fields(body)
         ok, cursor = top.get("ok"), top.get("cursor")
         if ok is None or decode_value(ok[0], body, ok[1], ok[2]) != 1:
             return False
         if cursor is None or cursor[0] != TAG_DOCUMENT:
             return False
-        batch = _fields(body, cursor[1], cursor[2]).get("firstBatch")
+        batch = fields(body, cursor[1], cursor[2]).get("firstBatch")
         if batch is None or batch[0] != TAG_ARRAY:
             return False
         return next(elements(body, batch[1], batch[2]), None) is not None

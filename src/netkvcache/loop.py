@@ -1,14 +1,17 @@
-"""One event-loop thread that owns a listener and every connection it accepts.
+"""One event-loop thread that owns a listener, every connection it accepts,
+and their sockets, frames and timers.
 
 The proxy, each delay pipe and each mock server is a ``Loop``. A connection
 has one or two legs, one per socket (``Leg``). Each frame read from a leg
-goes to the leg's handler, which writes into the leg or its peer. Once a
-leg has ended and holds nothing more for its peer, the peer is shut for
-writing, so a half-close passes through. An error on a leg, or a handler
-that raises, ends the whole connection. A connection reads only while its
-legs hold at most ``MAX_QUEUED_BYTES`` unsent, so a peer that never reads
-costs at most that plus one frame. Timers (``call_at``) run on the same
-thread, in due order, on ``time.perf_counter``.
+goes to the leg's handler, which writes into the leg or its peer, or holds
+it for later. Once a leg has ended and holds nothing more for its peer,
+the peer is shut for writing, so a half-close passes through. A connection
+reads only while its legs hold at most ``MAX_QUEUED_BYTES`` unsent, so a
+peer that never reads costs at most that plus one frame. Timers
+(``call_at``) run on the same thread, in due order, on ``perf_counter``.
+One guard, ``serve``, runs each socket event and each timer of a
+connection: an error on a leg, or a handler or timer that raises, ends
+that connection alone.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class BindFailure(RuntimeError):
 class Leg:
     """One non-blocking socket of a connection: the bytes received but not
     yet framed, the bytes queued to send, and the ``handler`` each frame
-    read goes to, at once or, in a loop that holds frames, once it is due.
+    read goes to. A handler that holds a frame for later counts its bytes
+    in ``held`` until it hands the frame over.
 
     It is the stream ``read_message`` reads a buffered frame from, once
     ``frame_ready`` says the frame is in, and the stream ``write_message``
@@ -57,8 +61,8 @@ class Leg:
         self.inbuf, self.outbuf = bytearray(), bytearray()
         self.events = 0  # the selector interest currently registered
         self.conn: Connection | None = None  # set once attached
-        self.held = 0  # bytes of frames read but not yet handed over
-        self.reading = True  # until the socket hits end of stream
+        self.held = 0  # bytes of frames its handler holds, not yet handed over
+        self.reading = True  # until ``fill`` hits end of stream
         self.writing = True  # until the socket is shut for writing
 
     def read(self, n: int) -> bytes:
@@ -82,10 +86,11 @@ class Leg:
                 or not wire.HEADER_SIZE <= length <= wire.DEFAULT_MAX_MESSAGE_BYTES)
 
     def fill(self) -> bool:
-        """Append what the socket has to ``inbuf``; False at end of stream."""
+        """Append what the socket has to ``inbuf``; at end of stream, False."""
         data = self.sock.recv(RECV_BYTES)
         self.inbuf += data
-        return bool(data)
+        self.reading = bool(data)
+        return self.reading
 
     def drain(self) -> None:
         """Send as much of ``outbuf`` as the socket takes now."""
@@ -154,15 +159,6 @@ class Loop:
     def _busy(self) -> bool:
         """True while ``stop`` should wait for in-flight work."""
         return False
-
-    def _fill(self, leg: Leg) -> None:
-        """Read what the leg's socket has; at its end, stop reading it."""
-        if not leg.fill():
-            leg.reading = False
-
-    def _take(self, leg: Leg, m: wire.RawMessage) -> None:
-        """Hand a frame just read to its leg's handler."""
-        leg.handler(m)
 
     def call_at(self, when: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` on the loop thread once ``time.perf_counter()``
@@ -276,34 +272,23 @@ class Loop:
         conn.on_close()
 
     def _on_event(self, leg: Leg, events: int) -> None:
-        conn = leg.conn
+        self.serve(leg.conn, leg.fill if events & selectors.EVENT_READ else None)
+
+    def serve(self, conn: Connection, fn: Callable | None, *args) -> None:
+        """Run ``fn(*args)``, if given, for ``conn``, then drive ``conn``;
+        if either raises, end ``conn`` and no other connection."""
         if conn.closed:
-            return  # ended by an earlier event in the same batch
+            return  # ended by an earlier event or timer
         try:
-            if events & selectors.EVENT_READ:
-                self._fill(leg)
+            if fn is not None:
+                fn(*args)
             self._drive(conn)
         except Exception as exc:
-            self._fail(conn, exc)
-
-    def _deliver(self, leg: Leg, m: wire.RawMessage) -> None:
-        """Hand a held frame to its leg's handler, then drive its connection."""
-        leg.held -= m.header.length
-        conn = leg.conn
-        if conn.closed:
-            return
-        try:
-            leg.handler(m)
-            self._drive(conn)
-        except Exception as exc:
-            self._fail(conn, exc)
-
-    def _fail(self, conn: Connection, exc: Exception) -> None:
-        if isinstance(exc, (wire.WireError, OSError)):
-            log.info("%s: connection ended: %s", self.thread_name, exc)
-        else:  # whatever a connection's input provokes, only that connection ends
-            log.error("%s: handler failed", self.thread_name, exc_info=exc)
-        self.end(conn)
+            if isinstance(exc, (wire.WireError, OSError)):
+                log.info("%s: connection ended: %s", self.thread_name, exc)
+            else:  # whatever a connection's input provokes, only that connection ends
+                log.error("%s: handler failed", self.thread_name, exc_info=exc)
+            self.end(conn)
 
     def _drive(self, conn: Connection) -> None:
         """Hand buffered frames to their handlers while there is room, then
@@ -316,7 +301,7 @@ class Loop:
                     if conn.queued_bytes() > MAX_QUEUED_BYTES:
                         full = True
                         break
-                    self._take(leg, wire.read_message(leg))
+                    leg.handler(wire.read_message(leg))
             for leg in conn.legs:
                 if leg.outbuf:
                     leg.drain()

@@ -69,7 +69,7 @@ def _config_from(args, capacity: int, with_cache: bool, out_dir=None) -> Scenari
         name=args.scenario,
         delays=delays,
         capacity=capacity,
-        policy=Policy.parse(args.policy),
+        policy=Policy(args.policy),
         keyspace=args.keyspace,
         batches=args.batches,
         per_batch=args.per_batch,
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated capacities (default: 10,30,70,100)")
 
     mock = sub.add_parser("mock-server", help="run the mock key-value server standalone")
-    mock.add_argument("--listen", required=True, metavar="HOST:PORT")
+    mock.add_argument("--listen", required=True, type=parse_address, metavar="HOST:PORT")
     mock.add_argument("--keys", default=100, type=int)
     mock.add_argument("--seed", default=1234, type=int)
     mock.add_argument("--doc-size", default=200, type=int)
@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "mock-server":
         server = MockKVServer(
-            listen=parse_address(args.listen), keyspace=args.keys,
+            listen=args.listen, keyspace=args.keys,
             seed=args.seed, doc_size=args.doc_size,
         ).start()
         print(f"mock server on {server.address[0]}:{server.address[1]} "

@@ -1,11 +1,12 @@
 """One-way-delay link emulation over TCP, at message granularity: the
-lab's only source of delay.
+lab's only source of delay, and the one home of the pipe's clock.
 
-A ``DelayPipe`` is a ``loop.Loop`` that hands each frame to the other
-side no earlier than ``oneway_s`` after the frame was read. Each held
-frame is a loop timer, and timers run in due order, so one leg's frames
-keep their order and back-to-back frames overlap their delays, as on a
-real long link.
+A ``DelayPipe`` is a ``loop.Loop`` whose legs' handlers hold each frame:
+stamped when taken, counted in ``Leg.held``, and handed to the other side
+``oneway_s`` later by a loop timer, through the loop's guard. Timers run
+in due order, so one leg's frames keep their order and back-to-back
+frames overlap their delays, as on a real long link. A 0 ms pipe's timer
+is due at once; the lab wires a zero delay as a plain connection.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class DelayPipe(Loop):
         # A blocking connect on the loop thread: the lab's targets are
         # local, so it returns at once.
         far_sock = socket.create_connection(self.target, timeout=5.0)
-        near = Leg(sock, "near")
-        far = Leg(far_sock, "far", lambda m: wire.write_message(near, m))
-        near.handler = lambda m: wire.write_message(far, m)
+        near, far = Leg(sock, "near"), Leg(far_sock, "far")
+        near.handler = lambda m: self._hold(near, far, m)
+        far.handler = lambda m: self._hold(far, near, m)
         return self.attach(Connection(near, far))
 
     def _run_timers(self) -> float | None:
@@ -61,18 +62,13 @@ class DelayPipe(Loop):
         time.sleep(0)  # spinning: yield, then poll the sockets
         return 0
 
-    def _fill(self, leg: Leg) -> None:
-        super()._fill(leg)
-        self._arrived = time.perf_counter()  # stamps the frames just read
-
-    def _take(self, leg: Leg, m: wire.RawMessage) -> None:
-        if not self.oneway_s:  # due now: hand it over without a timer
-            leg.handler(m)
-            return
+    def _hold(self, leg: Leg, peer: Leg, m: wire.RawMessage) -> None:
+        """Hold a frame just taken from ``leg`` until ``oneway_s`` from now."""
         leg.held += m.header.length
-        at = self._arrived + self.oneway_s
-        self.call_at(at, self._hand_over, leg, m, at)
+        at = time.perf_counter() + self.oneway_s
+        self.call_at(at, self._hand_over, leg, peer, m, at)
 
-    def _hand_over(self, leg: Leg, m: wire.RawMessage, at: float) -> None:
+    def _hand_over(self, leg: Leg, peer: Leg, m: wire.RawMessage, at: float) -> None:
         _sleep_until(at)  # already due; perfbench hooks it to record `at`
-        self._deliver(leg, m)
+        leg.held -= m.header.length
+        self.serve(leg.conn, wire.write_message, peer, m)

@@ -37,11 +37,6 @@ def _dicts(value) -> list[dict]:
     return [v for v in value if isinstance(v, dict)] if isinstance(value, list) else []
 
 
-def _fields(data: bytes, start: int = 0, end: int | None = None) -> dict:
-    """name -> (tag, start, end) of each value, a repeated name kept as the decoder keeps it."""
-    return {name: (tag, s, e) for tag, name, s, e in wire.elements(data, start, end)}
-
-
 def _find_reply(collection: str, doc: bytes = b"") -> bytes:
     """``encode_document({"cursor": {"firstBatch": [doc], "id": 0, "ns": "kv.<collection>"},
     "ok": 1.0})``, spliced around the encoded ``doc`` (no ``doc``: an empty batch)."""
@@ -132,8 +127,8 @@ class MockKVServer(Loop):
         table = self._table(collection)
         inserted = 0
         # ``body`` is ``data`` decoded: pair its documents with their bytes.
-        tag, start, end = _fields(data).get("documents", (None, 0, 0))
-        spans = [(s, e) for t, s, e in _fields(data, start, end).values()
+        tag, start, end = wire.fields(data).get("documents", (None, 0, 0))
+        spans = [(s, e) for t, s, e in wire.fields(data, start, end).values()
                  if t == wire.TAG_DOCUMENT] if tag == wire.TAG_ARRAY else []
         for doc, (start, end) in zip(_dicts(body.get("documents")), spans):
             if "_id" in doc and (key := canonical_key(doc["_id"])) is not None:

@@ -56,8 +56,9 @@ class ProxyConfig:
 
 
 def parse_address(text: str) -> tuple[str, int]:
+    """``HOST:PORT`` as ``(host, port)``; ValueError unless the port is 0-65535."""
     host, sep, port = text.rpartition(":")
-    if not sep or not host:
+    if not sep or not host or not 0 <= int(port) <= 65535:
         raise ValueError(f"address must be HOST:PORT, got {text!r}")
     return host, int(port)
 

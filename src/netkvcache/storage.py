@@ -4,7 +4,9 @@ Keys are canonical byte encodings of scalar values, so two lookups agree
 exactly when their encodings are byte-equal. Each key carries an epoch
 counter, bumped on every invalidation; a fill must present the epoch
 token it obtained at miss time, which rejects any fill that an
-invalidation overtook while the server round trip was in flight.
+invalidation overtook while the server round trip was in flight. The
+epoch table is cleared, with a global-epoch bump that rejects only the
+fills then in flight, when it reaches ``MAX_EPOCH_KEYS`` keys.
 
 A store has one owner, the thread that runs the proxy, and takes no
 lock. Other threads read it only once the proxy has stopped: the join in
@@ -23,6 +25,7 @@ CacheKey = bytes
 FillToken = tuple[int, int]  # (key epoch, global epoch) at miss time
 
 _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
+MAX_EPOCH_KEYS = 1 << 16  # keys with an epoch of their own, at most
 
 
 def canonical_key(value: Any) -> CacheKey | None:
@@ -59,13 +62,6 @@ class Policy(enum.Enum):
     NOEVICT = "noevict"
     FIFO = "fifo"
     LRU = "lru"
-
-    @classmethod
-    def parse(cls, name: str) -> "Policy":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown policy {name!r}; expected noevict, fifo, or lru") from None
 
 
 class PutOutcome(enum.Enum):
@@ -147,13 +143,17 @@ class CacheStore:
     def invalidate(self, key: CacheKey) -> None:
         """Drop a key and bump its epoch, rejecting any in-flight fill."""
         self._entries.pop(key, None)
+        if len(self._epochs) >= MAX_EPOCH_KEYS:
+            self._epochs.clear()
+            self._global_epoch += 1
         self._epochs[key] = self._epochs.get(key, 0) + 1
         self._stats.invalidations += 1
 
     def invalidate_all(self) -> None:
-        """Drop everything and bump the global epoch."""
+        """Drop everything and bump the global epoch; the key epochs it outdates go."""
         removed = len(self._entries)
         self._entries.clear()
+        self._epochs.clear()
         self._global_epoch += 1
         self._stats.invalidations += removed
 

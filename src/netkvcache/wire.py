@@ -289,6 +289,12 @@ def elements(data: bytes, start: int = 0, end: int | None = None
         pos += size
 
 
+def fields(data: bytes, start: int = 0, end: int | None = None) -> dict[str, tuple[int, int, int]]:
+    """``(tag, value_start, value_end)`` by name for each of ``elements``; a
+    repeated name keeps its last value in its first place, as decoding does."""
+    return {name: (tag, vstart, vend) for tag, name, vstart, vend in elements(data, start, end)}
+
+
 def decode_value(tag: int, data: bytes, start: int, end: int, depth: int = 0) -> Any:
     """Decode the value of tag ``tag`` at ``data[start:end]``, a range
     ``elements`` yields.

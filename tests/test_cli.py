@@ -106,6 +106,22 @@ def test_netlab_cli_custom_requires_delays():
 
 
 
+@pytest.mark.parametrize("main, option, args", [
+    (proxy_cli.main, "--listen", ["--listen", "127.0.0.1:abc"]),
+    (proxy_cli.main, "--listen", ["--listen", "nohost"]),
+    (proxy_cli.main, "--upstream", ["--upstream", "127.0.0.1:x"]),
+    (proxy_cli.main, "--listen", ["--listen", "127.0.0.1:99999"]),
+    (netlab_cli.main, "--listen", ["mock-server", "--listen", "127.0.0.1:99999"]),
+], ids=["port-abc", "no-port", "upstream-port-x", "port-99999", "mock-port-99999"])
+def test_bad_address_is_a_usage_error(main, option, args, capsys):
+    if main is proxy_cli.main:  # good values first: the last of an option wins
+        args = ["--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1", "--capacity", "1", *args]
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option, args", [
     ("--delays", ["run", "--scenario", "custom", "--delays", "5"]),
     ("--delays", ["run", "--scenario", "custom", "--delays=-1,5"]),

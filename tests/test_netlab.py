@@ -392,16 +392,22 @@ def test_timers_run_in_due_order_and_ties_in_call_order():
     assert ran == [(name, True) for name in ("a1", "a2", "b", "c", "chain", "chained")]
 
 
-def test_each_held_frame_sleeps_until_its_own_due_time_once(server, monkeypatch):
-    dues = []
-    sleep_until = delay._sleep_until
+@pytest.mark.parametrize("oneway", [0.0, 0.005])
+def test_each_held_frame_sleeps_until_its_own_due_time_once(server, monkeypatch, oneway):
+    dues, writes = [], []
+    sleep_until, write_message = delay._sleep_until, wire.write_message
 
     def recorded(deadline: float) -> None:
         dues.append(deadline)
         sleep_until(deadline)
 
+    def counted(stream, m) -> None:
+        if threading.current_thread().name == "pipe-loop":
+            writes.append(m.header.request_id)
+        write_message(stream, m)
+
     monkeypatch.setattr(delay, "_sleep_until", recorded)
-    oneway = 0.005
+    monkeypatch.setattr(wire, "write_message", counted)
     pipe = DelayPipe(server.address, oneway_ms=oneway * 1000).start()
     spans = []
     try:
@@ -413,10 +419,34 @@ def test_each_held_frame_sleeps_until_its_own_due_time_once(server, monkeypatch)
     finally:
         pipe.stop()
     # Each exchange holds two frames: the request, then its reply.
-    assert len(dues) == 2 * len(spans)
+    assert len(dues) == len(writes) == 2 * len(spans)
     assert dues == sorted(dues)
     for (sent, received), request, reply in zip(spans, dues[::2], dues[1::2]):
         assert sent + oneway <= request and request + oneway <= reply <= received
+
+
+def test_delivery_that_raises_ends_only_its_connection(server, monkeypatch):
+    write_message, bad_id = wire.write_message, 9999
+
+    def failing(stream, m) -> None:
+        if m.header.request_id == bad_id and threading.current_thread().name == "pipe-loop":
+            raise RuntimeError("delivery failed")
+        write_message(stream, m)
+
+    monkeypatch.setattr(wire, "write_message", failing)
+    pipe = DelayPipe(server.address, oneway_ms=1.0).start()
+    find = encode_document({"find": "phrases", "filter": {"_id": 1}})
+    try:
+        with ProtocolClient(pipe.address) as bad, ProtocolClient(pipe.address) as good:
+            assert good.find(1)["ok"] == 1.0
+            write_message(bad._stream, make_message(bad_id, 0, find))
+            with pytest.raises(wire.ConnectionClosed):
+                read_message(bad._stream)
+            assert good.find(2)["ok"] == 1.0
+        with ProtocolClient(pipe.address) as later:
+            assert later.find(3)["ok"] == 1.0
+    finally:
+        pipe.stop()
 
 
 # -- workload ---------------------------------------------------------------------

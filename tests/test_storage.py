@@ -123,6 +123,21 @@ def test_invalidate_absent_key_bumps_epoch_only():
     assert store.entry_count() == 0
 
 
+def test_epoch_table_stays_bounded_and_a_fill_missed_before_its_clear_is_stale():
+    store = CacheStore(capacity=4)
+    before = store.get(k(-1)).token  # a miss whose fill is still in flight
+    peak = 0
+    for i in range(200_000):  # distinct keys, so each adds an epoch entry
+        store.invalidate(k(i))
+        peak = max(peak, len(store._epochs))
+    assert peak <= 1 << 16
+    assert store.put(k(-1), b"old", before) is PutOutcome.REJECTED_STALE
+    assert fill(store, k(-1), b"new") is PutOutcome.STORED
+    assert store.get(k(-1)) == Hit(b"new")
+    store.invalidate_all()  # its global-epoch bump rejects every older token
+    assert not store._epochs
+
+
 def test_invalidate_all_clears_and_counts_removed():
     store = CacheStore(capacity=10)
     for i in range(5):
