@@ -18,8 +18,7 @@ re-fill the store with the overwritten value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .flows import COMMAND_KEYWORDS
 from .storage import CacheKey, CacheStore, FillToken, Hit, canonical_key
@@ -38,13 +37,12 @@ class CommandKind(enum.Enum):
     BYPASS = "bypass"
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A parsed manipulation request.
 
     ``key`` is the store key (``store_key``), set only when an ``_id``
-    equality filter was extracted and a string names the collection;
-    insert never carries one, and anything unparseable degrades to
+    equality filter, or an insert's one document's ``_id``, was extracted
+    and a string names the collection; anything unparseable degrades to
     BYPASS with the raw message untouched.
     """
 
@@ -59,8 +57,7 @@ class PendingKind(enum.Enum):
     WRITE_ALL = "write_all"   # a forwarded unkeyed write awaiting its ack
 
 
-@dataclass(frozen=True)
-class PendingEntry:
+class PendingEntry(NamedTuple):
     """A forwarded request awaiting its response, in a session's pending
     table: a ``dict`` from request id to entry, touched only by the
     proxy's loop thread."""
@@ -96,22 +93,21 @@ def store_key(collection: str, key: CacheKey) -> CacheKey:
     return len(name).to_bytes(4, "little") + name + key
 
 
-def _statement_key(body: dict, field: str) -> tuple[CacheKey | None, bool]:
-    """Key from a write's single statement list; (None, False) if multi-statement."""
-    statements = body.get(field)
-    if not isinstance(statements, list) or len(statements) != 1:
-        return None, False
-    statement = statements[0]
-    if not isinstance(statement, dict):
-        return None, False
-    return extract_key(statement.get("q")), True
+def _single(body: dict, field: str) -> dict | None:
+    """A write's one statement or document; None unless ``field`` lists exactly one."""
+    items = body.get(field)
+    if isinstance(items, list) and len(items) == 1 and isinstance(items[0], dict):
+        return items[0]
+    return None
 
 
 def parse_command(m: RawMessage) -> Command:
     """Parse a manipulation-flow message into a Command.
 
     Degenerate input never raises: undecodable bodies, unknown shapes,
-    and multi-statement writes all come back as BYPASS.
+    and multi-statement updates and deletes all come back as BYPASS. An
+    insert is keyed by the ``_id`` of its one document; an insert of
+    several documents, or of one without a scalar ``_id``, has no key.
     """
     try:
         body = decode_document(m.body)
@@ -124,22 +120,28 @@ def parse_command(m: RawMessage) -> Command:
     if kind is CommandKind.FIND:
         key = extract_key(body.get("filter"))
     elif kind is CommandKind.INSERT:
-        key = None
+        doc = _single(body, "documents")
+        key = canonical_key(doc["_id"]) if doc is not None and "_id" in doc else None
     else:
-        key, single = _statement_key(body, "updates" if kind is CommandKind.UPDATE else "deletes")
-        kind = kind if single else CommandKind.BYPASS
+        statement = _single(body, "updates" if kind is CommandKind.UPDATE else "deletes")
+        if statement is None:
+            kind, key = CommandKind.BYPASS, None
+        else:
+            key = extract_key(statement.get("q"))
     if key is not None:
         key = store_key(collection, key) if isinstance(collection, str) else None
     return Command(kind, key, m)
 
 
 def response_is_cacheable(body: bytes) -> bool:
-    """True if a response is a successful read with a non-empty batch.
+    """True if a response is a successful read with a non-empty batch and
+    no live cursor (a ``cursor.id`` other than 0).
 
-    Only such responses are worth replaying for later hits; errors and
-    empty results are forwarded but never stored. The reply is scanned,
-    not decoded: the top level, ``cursor`` and ``firstBatch`` are walked
-    by their length prefixes, and the batch only up to its first element.
+    Only such responses are worth replaying for later hits; errors, empty
+    results and one session's open cursor are forwarded but never stored.
+    The reply is scanned, not decoded: the top level, ``cursor`` and
+    ``firstBatch`` are walked by their length prefixes, and the batch only
+    up to its first element.
     """
     try:
         top = fields(body)
@@ -148,8 +150,11 @@ def response_is_cacheable(body: bytes) -> bool:
             return False
         if cursor is None or cursor[0] != TAG_DOCUMENT:
             return False
-        batch = fields(body, cursor[1], cursor[2]).get("firstBatch")
+        inner = fields(body, cursor[1], cursor[2])
+        batch, cid = inner.get("firstBatch"), inner.get("id")
         if batch is None or batch[0] != TAG_ARRAY:
+            return False
+        if cid is not None and decode_value(cid[0], body, cid[1], cid[2]) != 0:
             return False
         return next(elements(body, batch[1], batch[2]), None) is not None
     except MalformedDocument:
@@ -178,10 +183,10 @@ def handle_client(
     None when ``cmd.raw`` is to go upstream.
 
     Reads with a key are answered locally on a hit or tracked on a miss.
-    Writes invalidate and are tracked — keyed writes their key, unkeyed
-    writes the whole store. Everything else goes untracked as a bypass,
-    and so does a keyed read while a reply is ``owed``, which a local
-    hit would overtake.
+    Writes (insert, update, delete) invalidate and are tracked — keyed
+    writes their key, unkeyed writes the whole store. Everything else goes
+    untracked as a bypass, and so does a keyed read while a reply is
+    ``owed``, which a local hit would overtake.
     """
     key, kind = cmd.key, cmd.kind
     if kind is CommandKind.FIND and key is not None and not owed:
@@ -190,16 +195,16 @@ def handle_client(
             return synthesize_response(cmd.raw, result.body, next_id)
         pending[cmd.raw.header.request_id] = PendingEntry(PendingKind.FIND_FILL, key, result.token)
         return None
-    if kind is CommandKind.UPDATE or kind is CommandKind.DELETE:
-        if key is not None:
-            store.invalidate(key)
-            tracked = PendingKind.WRITE_KEY
-        else:
-            store.invalidate_all()
-            tracked = PendingKind.WRITE_ALL
-        pending[cmd.raw.header.request_id] = PendingEntry(tracked, key, None)
+    if kind is CommandKind.FIND or kind is CommandKind.BYPASS:
+        store.record_bypass()
         return None
-    store.record_bypass()
+    if key is not None:
+        store.invalidate(key)
+        tracked = PendingKind.WRITE_KEY
+    else:
+        store.invalidate_all()
+        tracked = PendingKind.WRITE_ALL
+    pending[cmd.raw.header.request_id] = PendingEntry(tracked, key, None)
     return None
 
 

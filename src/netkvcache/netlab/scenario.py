@@ -22,6 +22,7 @@ A cell runs with its client and loop threads on one CPU; see
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 import os
 from contextlib import ExitStack
@@ -168,6 +169,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             outcomes = simulate_outcomes(
                 key_sequence(workload_cfg), cfg.capacity, cfg.policy.value
             )
+        gc.collect()  # here, not inside the timed requests: a full one can take ~20 ms
         report = run_workload(upstream, workload_cfg, outcomes)
 
         if proxy is not None:

@@ -25,7 +25,7 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import engine, flows, wire
 from .loop import BindFailure, Connection, Leg, Loop
@@ -43,8 +43,7 @@ STATS_CSV_COLUMNS = [
 CONNECT_TIMEOUT_S = 5.0  # a session whose upstream connect takes longer ends
 
 
-@dataclass
-class ProxyConfig:
+class ProxyConfig(NamedTuple):
     listen: tuple[str, int]
     upstream: tuple[str, int]
     capacity: int

@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
 CacheKey = bytes
 FillToken = tuple[int, int]  # (key epoch, global epoch) at miss time
@@ -70,26 +70,11 @@ class PutOutcome(enum.Enum):
     REJECTED_FULL = "rejected_full"
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    bypasses: int = 0
-    invalidations: int = 0
-    fills: int = 0
-    rejected_fills: int = 0
-
-    def copy(self) -> "CacheStats":
-        return replace(self)
-
-
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
     body: bytes
 
 
-@dataclass(frozen=True)
-class Miss:
+class Miss(NamedTuple):
     token: FillToken
 
 
@@ -104,7 +89,9 @@ class CacheStore:
         self._entries: OrderedDict[CacheKey, bytes] = OrderedDict()
         self._epochs: dict[CacheKey, int] = {}
         self._global_epoch = 0
-        self._stats = CacheStats()
+        # The counters, in the order of ``vars`` of a snapshot.
+        self._stats = SimpleNamespace(hits=0, misses=0, bypasses=0, invalidations=0,
+                                      fills=0, rejected_fills=0)
 
     def get(self, key: CacheKey) -> Hit | Miss:
         """Look up a key; a miss returns the epoch token for the later fill."""
@@ -160,8 +147,9 @@ class CacheStore:
     def record_bypass(self) -> None:
         self._stats.bypasses += 1
 
-    def snapshot_stats(self) -> CacheStats:
-        return self._stats.copy()
+    def snapshot_stats(self) -> SimpleNamespace:
+        """A copy of the counters, by name: ``vars`` of it gives all six."""
+        return SimpleNamespace(**vars(self._stats))
 
     def entry_count(self) -> int:
         return len(self._entries)

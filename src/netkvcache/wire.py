@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 HEADER_SIZE = 25
 # Bytes of the header that precede the document payload (the payload_size
@@ -97,8 +96,7 @@ class OversizeMessage(WireError):
     """A declared message length exceeds the configured maximum."""
 
 
-@dataclass(frozen=True)
-class MessageHeader:
+class MessageHeader(NamedTuple):
     """The 7 header fields in wire order."""
 
     length: int
@@ -110,8 +108,7 @@ class MessageHeader:
     payload_size: int
 
 
-@dataclass(frozen=True)
-class RawMessage:
+class RawMessage(NamedTuple):
     """One framed message: parsed header plus the raw payload bytes.
 
     ``body`` is everything from offset 21 of the frame, so it starts with
@@ -128,35 +125,22 @@ class RawMessage:
             raise ValueError(
                 f"inconsistent message: length={h.length}, body={len(self.body)} bytes"
             )
-        return _HEADER_PREFIX.pack(
-            h.length, h.request_id, h.response_to, h.op_code, h.flags, h.payload_type
-        ) + self.body
+        return _HEADER_PREFIX.pack(*h[:6]) + self.body
 
 
 def make_message(request_id: int, response_to: int, body: bytes) -> RawMessage:
     """A manipulation message carrying ``body``, with the header's length
     fields derived from it."""
-    return RawMessage(
-        MessageHeader(
-            length=HEADER_PREFIX_SIZE + len(body),
-            request_id=request_id,
-            response_to=response_to,
-            op_code=MANIPULATION_OPCODE,
-            flags=0,
-            payload_type=0,
-            payload_size=len(body),
-        ),
-        body,
-    )
+    size = len(body)
+    return RawMessage(MessageHeader(
+        HEADER_PREFIX_SIZE + size, request_id, response_to, MANIPULATION_OPCODE, 0, 0, size,
+    ), body)
 
 
 def encode_header(h: MessageHeader) -> bytes:
     """Pack a header into its 25-byte wire form."""
     try:
-        return _HEADER.pack(
-            h.length, h.request_id, h.response_to, h.op_code,
-            h.flags, h.payload_type, h.payload_size,
-        )
+        return _HEADER.pack(*h)
     except struct.error as exc:
         raise ValueError(f"header field out of range: {exc}") from None
 

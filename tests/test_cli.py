@@ -1,15 +1,29 @@
 from __future__ import annotations
 
+import os
 import signal
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from netkvcache import cli as proxy_cli
 from netkvcache.netlab import cli as netlab_cli
+
+
+def test_proxy_process_does_not_load_dataclasses():
+    # Without site, so only what the proxy's own imports load is counted.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, netkvcache.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_proxy_cli_rejects_negative_capacity(capsys):

@@ -14,7 +14,8 @@ The invariant: a read issued after a write's ack has reached its client
 never returns a version older than that write.
 
 Only the shapes the proxy keeps coherent today are covered: keyed finds,
-and single-statement keyed or unkeyed updates.
+single-statement keyed or unkeyed updates, and inserts of one keyed
+document or of several documents.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def every_schedule(run) -> int:
 def request(op: str, keyed: bool, request_id: int) -> RawMessage:
     if op == "find":
         body = {"find": "p", "filter": {"_id": KEY}}
+    elif op == "insert":  # overwrites KEY, as the mock's insert does
+        documents = [{"_id": KEY, "x": 1}] if keyed else [{"_id": KEY + 1}, {"_id": KEY, "x": 1}]
+        body = {"insert": "p", "documents": documents}
     else:  # an unkeyed filter that the server still matches to KEY alone
         q = {"_id": KEY} if keyed else {"_id": {"$in": [KEY]}}
         body = {"update": "p", "updates": [{"q": q, "u": {"$set": {"x": 1}}}]}
@@ -151,6 +155,7 @@ class _Session:
 
 SCRIPTS = {
     "update-find/find-find": (["update", "find"], ["find", "find"]),
+    "insert-find/find-find": (["insert", "find"], ["find", "find"]),
 }
 
 

@@ -91,10 +91,16 @@ def test_parse_find_with_eq_filter():
     assert cmd.key == store_key("phrases", canonical_key(42))
 
 
-def test_parse_insert_never_has_key():
+def test_parse_insert_of_one_document_is_keyed_by_its_id():
     cmd = parse_command(message({"insert": "phrases", "documents": [{"_id": 1}]}))
     assert cmd.kind is CommandKind.INSERT
-    assert cmd.key is None
+    assert cmd.key == store_key("phrases", canonical_key(1))
+
+
+def test_parse_insert_without_one_keyed_document_has_no_key():
+    for documents in ([{"_id": 1}, {"_id": 2}], [{"v": 1}], [{"_id": {"a": 1}}], [], [7], "x"):
+        cmd = parse_command(message({"insert": "phrases", "documents": documents}))
+        assert (cmd.kind, cmd.key) == (CommandKind.INSERT, None), documents
 
 
 def test_parse_update_single_statement():
@@ -189,7 +195,7 @@ def decoded_cacheable(body: bytes) -> bool:
     if doc.get("ok") != 1:
         return False
     cursor = doc.get("cursor")
-    if not isinstance(cursor, dict):
+    if not isinstance(cursor, dict) or cursor.get("id", 0) != 0:
         return False
     batch = cursor.get("firstBatch")
     return isinstance(batch, list) and len(batch) > 0
@@ -253,6 +259,7 @@ OK_VALUES = st.sampled_from([
 ])
 OTHER = st.sampled_from([
     raw_element(0x10, "id", (0).to_bytes(4, "little")),
+    raw_element(0x12, "id", (42).to_bytes(8, "little")),
     raw_element(0x02, "ns", (11).to_bytes(4, "little") + b"kv.phrases\x00"),
     raw_element(0x0A, "n", b""),
 ])
@@ -460,12 +467,29 @@ def test_bypass_find_forwards_verbatim_and_counts():
     assert s.store.entry_count() == 0
 
 
-def test_insert_counts_as_bypass_and_forwards():
+def test_insert_invalidates_its_id_and_is_tracked():
     s = Session()
-    insert = message({"insert": "p", "documents": [{"_id": 1, "v": "x"}]}, request_id=1)
+    s.client(message({"find": "p", "filter": {"_id": 1}}, request_id=1))
+    s.server(cursor_response([{"_id": 1}], response_to=1))
+    assert s.store.entry_count() == 1
+    insert = message({"insert": "p", "documents": [{"_id": 1, "v": "x"}]}, request_id=2)
     s.client(insert)
-    assert s.upstream == [insert]
-    assert s.store.snapshot_stats().bypasses == 1
+    assert s.upstream[-1] == insert
+    assert s.store.entry_count() == 0 and 2 in s.pending
+    assert s.store.snapshot_stats().bypasses == 0
+
+
+def test_live_cursor_reply_is_not_stored():
+    s = Session()
+    s.client(message({"find": "p", "filter": {"_id": 1}}, request_id=1))
+    live = message({"cursor": {"firstBatch": [{"_id": 1}], "id": 42, "ns": "kv.p"}, "ok": 1.0},
+                   request_id=1000, response_to=1)
+    assert not response_is_cacheable(live.body)
+    s.server(live)
+    assert s.downstream == [live] and s.store.entry_count() == 0
+    s.client(message({"find": "p", "filter": {"_id": 1}}, request_id=2))
+    assert len(s.upstream) == 2
+    assert s.store.snapshot_stats().misses == 2
 
 
 def test_empty_batch_response_not_cached():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import statistics
@@ -355,6 +356,30 @@ def test_frame_arriving_while_pipe_spins_is_not_delayed(server):
     assert abs(statistics.median(paired) - statistics.median(solo)) <= 0.5
 
 
+def test_pipe_delay_starts_when_the_bytes_arrive_not_when_framed(server, monkeypatch):
+    # Framing on the pipe's thread takes 5 ms here; a frame's 20 ms must
+    # run from its arrival, so the framing time hides inside the delay.
+    read_message = wire.read_message
+
+    def slow(stream, *args):
+        if threading.current_thread().name == "pipe-loop":
+            time.sleep(0.005)
+        return read_message(stream, *args)
+
+    monkeypatch.setattr(wire, "read_message", slow)
+    pipe = DelayPipe(server.address, oneway_ms=20.0).start()
+    rtts = []
+    try:
+        with ProtocolClient(pipe.address) as client:
+            for key in range(1, 6):
+                t0 = time.perf_counter()
+                client.find(key)
+                rtts.append((time.perf_counter() - t0) * 1000)
+    finally:
+        pipe.stop()
+    assert 40.0 <= statistics.median(rtts) < 46.0
+
+
 def test_pipe_delays_each_connection_not_the_loop(server):
     pipe = DelayPipe(server.address, oneway_ms=150.0).start()
     try:
@@ -523,6 +548,31 @@ def test_scenario_runs_its_threads_on_one_cpu_then_restores(monkeypatch):
     assert {"pipe-loop", "proxy-loop", "mock-loop"} <= set(seen)
     assert all(cpus == {min(before)} for cpus in seen.values())
     assert os.sched_getaffinity(0) == before
+
+
+def test_scenario_collects_garbage_before_its_timed_requests(monkeypatch):
+    # A full collection of the test process's heap takes tens of ms; if it
+    # fell inside a cell's requests, their latency would carry it.
+    from netkvcache.netlab import scenario
+
+    full, before_requests = [], []
+    run_workload = scenario.run_workload
+
+    def note(phase, info):
+        if phase == "stop" and info["generation"] == 2:
+            full.append(info)
+
+    def spy(*args, **kwargs):
+        before_requests.append(len(full))
+        return run_workload(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "run_workload", spy)
+    gc.callbacks.append(note)
+    try:
+        run_scenario(tiny_config())
+    finally:
+        gc.callbacks.remove(note)
+    assert len(before_requests) == 1 and before_requests[0] >= 1
 
 
 def test_scenario_keyspace_one_all_hits_after_first():

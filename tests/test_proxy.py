@@ -181,6 +181,22 @@ def test_write_naming_an_integral_double_id_invalidates_the_int_key(server):
         proxy.stop(grace=0.2)
 
 
+def test_insert_over_a_cached_id_is_seen_by_the_next_find(server):
+    # The server's insert overwrites an existing _id, so the insert must
+    # drop what the first find cached.
+    proxy = start_proxy(server.address)
+    insert = {"insert": "phrases", "documents": [{"_id": 7, "phrase": "inserted"}]}
+    try:
+        with ProtocolClient(proxy.address) as client:
+            client.find(7)
+            assert client.request_doc(insert)["n"] == 1
+            assert client.find(7)["cursor"]["firstBatch"] == [insert["documents"][0]]
+    finally:
+        proxy.stop(grace=0.2)
+    stats = proxy.store.snapshot_stats()
+    assert (stats.hits, stats.misses, stats.bypasses) == (0, 2, 0)
+
+
 def test_cache_keys_are_scoped_by_collection(server):
     proxy = start_proxy(server.address)
     fresh = MockKVServer(keyspace=50).start()
@@ -535,21 +551,21 @@ def test_slow_upstream_delays_only_its_own_session(server):
 
 
 def test_stop_drains_forwarded_requests_the_engine_does_not_track(server):
-    # An insert and a hello are relayed untracked; stop still waits for
-    # their replies, as it waits for a tracked find's.
+    # A range find and a hello are relayed untracked; stop still waits
+    # for their replies, as it waits for a tracked find's.
     slow = DelayPipe(server.address, oneway_ms=150.0).start()
     proxy = start_proxy(slow.address)
-    insert = {"insert": "phrases", "documents": [{"_id": 60, "phrase": "new"}]}
+    range_find = {"find": "phrases", "filter": {"_id": {"$gt": 60}}}
     try:
         with ProtocolClient(proxy.address) as client:
-            ids = [client.send(insert), client.send({"hello": 1})]
+            ids = [client.send(range_find), client.send({"hello": 1})]
             time.sleep(0.05)  # both are now upstream
             t0 = time.monotonic()
             proxy.stop(grace=1.0)
             assert time.monotonic() - t0 < 0.9  # it stopped once both were answered
             got = [read_message(client._stream) for _ in ids]
         assert [m.header.response_to for m in got] == ids
-        assert decode_document(got[0].body)["n"] == 1
+        assert decode_document(got[0].body)["ok"] == 1.0
         assert proxy.store.snapshot_stats().bypasses == 1
     finally:
         proxy.stop(grace=0.2)
