@@ -72,7 +72,8 @@ class MockKVServer(Loop):
             self._seeded[canonical_key(k)] = doc, wire.encode_document(doc)
         # collection -> key -> (document, its find reply)
         self._tables: dict[str, dict[bytes, tuple[dict, bytes]]] = {}
-        self.transcripts: list[dict[str, list[bytes]]] = []
+        # one per connection, with record_transcript: the messages it read and wrote
+        self.transcripts: list[dict[str, list[wire.RawMessage]]] = []
 
     def _table(self, collection: str) -> dict[bytes, tuple[dict, bytes]]:
         table = self._tables.get(collection)
@@ -91,8 +92,8 @@ class MockKVServer(Loop):
         def reply(m: wire.RawMessage) -> None:
             out = wire.make_message(next(response_ids), m.header.request_id, self._respond(m))
             if transcript is not None:
-                transcript["received"].append(m.to_bytes())
-                transcript["sent"].append(out.to_bytes())
+                transcript["received"].append(m)
+                transcript["sent"].append(out)
             wire.write_message(leg, out)
 
         leg = Leg(sock, "client", reply)

@@ -33,7 +33,7 @@ from ..proxy import STATS_CSV_COLUMNS, CacheProxy, ProxyConfig
 from ..storage import Policy
 from .delay import DelayPipe
 from .mockserver import MockKVServer
-from .workload import MetricsReport, WorkloadConfig, key_sequence, run_workload, simulate_outcomes
+from .workload import MetricsReport, WorkloadConfig, run_workload
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +136,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         out_dir.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         _one_cpu(stack)  # first: the loop threads inherit it
-        server = MockKVServer(keyspace=cfg.keyspace).start()
+        server = MockKVServer(keyspace=cfg.keyspace, record_transcript=True).start()
         stack.callback(server.stop)
         upstream = server.address
 
@@ -163,32 +163,28 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             stack.callback(pipe1.stop)
             upstream = pipe1.address
 
-        workload_cfg = cfg.workload()
-        outcomes = None
-        if cfg.with_cache:
-            outcomes = simulate_outcomes(
-                key_sequence(workload_cfg), cfg.capacity, cfg.policy.value
-            )
         gc.collect()  # here, not inside the timed requests: a full one can take ~20 ms
-        report = run_workload(upstream, workload_cfg, outcomes)
+        report = run_workload(upstream, cfg.workload())
 
-        if proxy is not None:
-            proxy.stop()  # the store is the loop thread's until it stops
-            stats = proxy.store.snapshot_stats()
-            report.store_stats = vars(stats).copy()
-            report.store_entries = proxy.store.entry_count()
-            counts = report.outcome_counts()
-            report.reconciled = (
-                stats.hits == counts.get("hit", 0)
-                and stats.misses == counts.get("miss", 0)
+    # Every loop has stopped, and its thread's join orders its writes before
+    # these reads: the proxy's store and the mock's transcripts.
+    if proxy is not None:
+        received = {m.header.request_id for t in server.transcripts for m in t["received"]}
+        for r in report.records:
+            if r.outcome != "timeout":
+                r.outcome = "miss" if r.request_id in received else "hit"
+        forwarded = sum(r.request_id in received for r in report.records)
+        answered = len(report.records) - forwarded  # by the proxy alone
+        stats = proxy.store.snapshot_stats()
+        report.store_stats = vars(stats).copy()
+        report.store_entries = proxy.store.entry_count()
+        report.reconciled = (stats.hits, stats.misses + stats.bypasses) == (answered, forwarded)
+        if not report.reconciled:
+            log.warning(
+                "%s: store counters disagree with what the server received "
+                "(answered/forwarded %d/%d, store hits %d, misses+bypasses %d)",
+                cfg.name, answered, forwarded, stats.hits, stats.misses + stats.bypasses,
             )
-            if not report.reconciled:
-                log.warning(
-                    "%s: simulated outcomes disagree with store counters "
-                    "(sim hit/miss %d/%d, store %d/%d)",
-                    cfg.name, counts.get("hit", 0), counts.get("miss", 0),
-                    stats.hits, stats.misses,
-                )
 
     result = ScenarioResult(cfg, report)
     if out_dir is not None:
@@ -221,7 +217,6 @@ def write_outputs(out_dir: Path, result: ScenarioResult) -> None:
 
 def summarize_single(result: ScenarioResult) -> str:
     cfg, report = result.config, result.report
-    counts = report.outcome_counts()
     lines = [
         f"scenario: {result.label}",
         f"delays (one-way ms, scaled /{cfg.time_scale:g}): "
@@ -231,15 +226,17 @@ def summarize_single(result: ScenarioResult) -> str:
         f"({cfg.batches} batches x {cfg.per_batch}, keys 1..{cfg.keyspace}, seed {cfg.seed})",
         f"latency ms: mean {report.mean():.2f}  median {report.median():.2f}  "
         f"p95 {report.percentile(95):.2f}  p99 {report.percentile(99):.2f}",
+        *(f"latency ms, {outcome}: n {len(g.records)}  mean {g.mean():.2f}  "
+          f"p50 {g.percentile(50):.2f}  p99 {g.percentile(99):.2f}"
+          for outcome, g in report.by_outcome().items()),
         f"post-warm-up mean (final 80%): {report.post_warmup_mean():.2f} ms",
         f"throughput: overall {report.overall_rps():.1f} rps, "
         f"steady state {report.steady_state_rps():.1f} rps",
-        f"outcomes: {counts}",
         f"timeouts: {report.timeouts}",
     ]
     if report.store_stats is not None:
         lines.append(f"store stats: {report.store_stats} entries={report.store_entries}")
-        lines.append(f"reconciled with labels: {report.reconciled}")
+        lines.append(f"reconciled with what the server received: {report.reconciled}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,21 +1,20 @@
-"""Closed-loop workload client, metrics collection, and the offline
-hit-rate simulator used to label individual requests.
+"""Closed-loop workload client and metrics collection.
 
 The client issues one request at a time and waits for the matching
-response, so throughput is the reciprocal of mean latency. Request
-outcomes (hit/miss) are not observable on the wire; they are labeled by
-replaying the deterministic key sequence through a small, independent
-model of the residency policy, and reconciled against the proxy's own
-counters by the scenario runner.
+response, so throughput is the reciprocal of mean latency. Whether a
+request hit the cache is not visible on the wire: ``run_workload`` labels
+each request ``direct`` (or ``timeout``) and keeps its request id, and the
+scenario runner relabels a cached cell's requests from what the mock
+server received.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import socket
 import statistics
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import wire
@@ -41,32 +40,6 @@ def key_sequence(cfg: WorkloadConfig) -> list[int]:
     return [rng.randint(1, cfg.keyspace) for _ in range(cfg.total_requests)]
 
 
-def simulate_outcomes(keys: list[int], capacity: int, policy: str = "noevict") -> list[str]:
-    """Label each request hit/miss under the given residency policy.
-
-    Independent model of capacity behavior (a plain ordered set): misses
-    populate free slots; at capacity, noevict stops admitting while
-    fifo/lru evict the oldest/least-recent resident.
-    """
-    resident: OrderedDict[int, bool] = OrderedDict()
-    out = []
-    for k in keys:
-        if k in resident:
-            out.append("hit")
-            if policy == "lru":
-                resident.move_to_end(k)
-            continue
-        out.append("miss")
-        if capacity <= 0:
-            continue
-        if len(resident) >= capacity:
-            if policy == "noevict":
-                continue
-            resident.popitem(last=False)
-        resident[k] = True
-    return out
-
-
 @dataclass
 class RequestRecord:
     seq: int
@@ -74,6 +47,7 @@ class RequestRecord:
     outcome: str
     latency_ms: float
     completed_at: float  # seconds since workload start
+    request_id: int  # as sent; the mock's transcript names the ones it received
 
 
 @dataclass
@@ -97,7 +71,7 @@ class MetricsReport:
 
     def percentile(self, p: float) -> float:
         ordered = sorted(self.samples)
-        idx = max(0, min(len(ordered) - 1, round(p / 100 * len(ordered)) - 1))
+        idx = max(0, min(len(ordered) - 1, math.ceil(p * len(ordered) / 100) - 1))  # nearest rank
         return ordered[idx]
 
     def post_warmup_records(self, fraction: float = 0.8) -> list[RequestRecord]:
@@ -108,22 +82,15 @@ class MetricsReport:
     def post_warmup_mean(self, fraction: float = 0.8) -> float:
         return statistics.fmean(r.latency_ms for r in self.post_warmup_records(fraction))
 
+    def by_outcome(self) -> dict[str, MetricsReport]:
+        """One report per outcome label, in order of first appearance."""
+        groups: dict[str, list[RequestRecord]] = {}
+        for r in self.records:
+            groups.setdefault(r.outcome, []).append(r)
+        return {k: MetricsReport(v, self.duration_s) for k, v in groups.items()}
+
     def stratified_means(self) -> dict[str, float]:
-        groups: dict[str, list[float]] = {}
-        for r in self.records:
-            groups.setdefault(r.outcome, []).append(r.latency_ms)
-        return {k: statistics.fmean(v) for k, v in groups.items()}
-
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.outcome] = counts.get(r.outcome, 0) + 1
-        return counts
-
-    def hit_rate(self) -> float:
-        counts = self.outcome_counts()
-        eligible = counts.get("hit", 0) + counts.get("miss", 0)
-        return counts.get("hit", 0) / eligible if eligible else 0.0
+        return {k: g.mean() for k, g in self.by_outcome().items()}
 
     def throughput_series(self) -> list[tuple[int, int]]:
         """Requests completed in each whole second of the run."""
@@ -165,14 +132,12 @@ class MetricsReport:
 class ProtocolClient:
     """Blocking request/response client for the wire protocol."""
 
-    def __init__(self, address: tuple[str, int], timeout_s: float = 10.0,
-                 record_transcript: bool = False):
+    def __init__(self, address: tuple[str, int], timeout_s: float = 10.0):
         self.sock = socket.create_connection(address, timeout=timeout_s)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.timeout_s = timeout_s
         self._stream = wire.SocketStream(self.sock)
         self._next_id = 1
-        self.transcript = {"sent": [], "received": []} if record_transcript else None
 
     def close(self) -> None:
         try:
@@ -194,8 +159,6 @@ class ProtocolClient:
         request_id = self._next_id
         self._next_id += 1
         m = wire.make_message(request_id, 0, wire.encode_document(body_doc))
-        if self.transcript is not None:
-            self.transcript["sent"].append(m.to_bytes())
         wire.write_message(self._stream, m)
         return request_id
 
@@ -206,8 +169,6 @@ class ProtocolClient:
         """
         while True:
             m = wire.read_message(self._stream)
-            if self.transcript is not None:
-                self.transcript["received"].append(m.to_bytes())
             if m.header.response_to == request_id:
                 return m
 
@@ -221,31 +182,24 @@ class ProtocolClient:
         return self.request_doc({"find": collection, "filter": {"_id": {"$eq": key}}})
 
 
-def run_workload(
-    target: tuple[str, int],
-    cfg: WorkloadConfig,
-    outcomes: list[str] | None = None,
-) -> MetricsReport:
+def run_workload(target: tuple[str, int], cfg: WorkloadConfig) -> MetricsReport:
     """Issue the configured find workload and measure per-request latency.
 
-    ``outcomes`` labels each request (from ``simulate_outcomes``); when
-    omitted every request is labeled "direct".
+    Each request is labeled "direct", or "timeout" if its reply did not come.
     """
-    keys = key_sequence(cfg)
-    if outcomes is None:
-        outcomes = ["direct"] * len(keys)
     records: list[RequestRecord] = []
     timeouts = 0
     with ProtocolClient(target, timeout_s=cfg.request_timeout_s) as client:
         if cfg.hello:
             client.request_doc({"hello": 1, "client": "netlab"})
         started = time.perf_counter()
-        for seq, key in enumerate(keys):
+        for seq, key in enumerate(key_sequence(cfg)):
             body = {"find": "phrases", "filter": {"_id": {"$eq": key}}}
             t0 = time.perf_counter()
-            outcome = outcomes[seq]
+            outcome = "direct"
+            request_id = client.send(body)
             try:
-                client.receive_response(client.send(body))
+                client.receive_response(request_id)
             except (socket.timeout, TimeoutError):
                 timeouts += 1
                 outcome = "timeout"
@@ -253,7 +207,7 @@ def run_workload(
             records.append(RequestRecord(
                 seq=seq, key=key, outcome=outcome,
                 latency_ms=(t1 - t0) * 1000.0,
-                completed_at=t1 - started,
+                completed_at=t1 - started, request_id=request_id,
             ))
         duration = time.perf_counter() - started
     return MetricsReport(records=records, duration_s=duration, timeouts=timeouts)

@@ -222,7 +222,7 @@ def run_proxy(config: ProxyConfig) -> int:
     )
     try:
         proxy = CacheProxy(config).start()
-    except BindFailure as exc:
+    except (BindFailure, OSError) as exc:  # OSError: stats_out cannot be opened
         log.error("%s", exc)
         return 1
     except ValueError as exc:

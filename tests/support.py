@@ -1,10 +1,15 @@
-"""Shared helpers for the test suite: seeded random protocol values."""
+"""Shared helpers for the test suite: seeded random protocol values, a
+model of the cache's residency policies, and a client exchange that drops
+no message."""
 
 from __future__ import annotations
 
 import random
 import string
+from collections import OrderedDict
 
+from netkvcache import wire
+from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.wire import MessageHeader
 
 
@@ -47,3 +52,35 @@ def random_header(rng: random.Random) -> MessageHeader:
         payload_type=rng.randrange(0, 256),
         payload_size=rng.randrange(0, 2**32),
     )
+
+
+def simulate_outcomes(keys: list[int], capacity: int, policy: str = "noevict") -> list[str]:
+    """Label each request hit/miss under the given residency policy.
+
+    Independent model of capacity behavior (a plain ordered set): misses
+    populate free slots; at capacity, noevict stops admitting while
+    fifo/lru evict the oldest/least-recent resident.
+    """
+    resident: OrderedDict[int, bool] = OrderedDict()
+    out = []
+    for k in keys:
+        if k in resident:
+            out.append("hit")
+            if policy == "lru":
+                resident.move_to_end(k)
+            continue
+        out.append("miss")
+        if capacity <= 0:
+            continue
+        if len(resident) >= capacity:
+            if policy == "noevict":
+                continue
+            resident.popitem(last=False)
+        resident[k] = True
+    return out
+
+
+def send_and_read(client: ProtocolClient, body_doc: dict) -> wire.RawMessage:
+    """Send one request and return the next message read, whatever it answers."""
+    client.send(body_doc)
+    return wire.read_message(client._stream)

@@ -23,10 +23,10 @@ import pytest
 from netkvcache import wire
 from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.scenario import DelaySpec, ScenarioConfig, ScenarioResult, run_scenario
-from netkvcache.netlab.workload import ProtocolClient
+from netkvcache.netlab.workload import MetricsReport, ProtocolClient
 from netkvcache.proxy import CacheProxy, ProxyConfig
 from netkvcache.storage import CacheStore, Miss, PutOutcome, canonical_key
-from support import random_document, random_header
+from support import random_document, random_header, send_and_read
 
 # Desk-scale profile: delay ratios preserved, wall time bounded.
 TIME_SCALE = 10.0
@@ -109,18 +109,27 @@ def test_criterion_2_scenario_c_reduction():
 
 
 def test_criterion_3_scenario_a_overhead():
-    direct = cell("A0/nocache").report
-    cached = cell("A0/cap100").report
-    assert cached.mean() > direct.mean(), (
-        f"cached mean {cached.mean():.3f} ms not above direct mean {direct.mean():.3f} ms"
+    # Three pairs, so that a pause of the test process that lands in one
+    # cell moves one of three means, not the verdict; each pair alternates
+    # which cell runs first.
+    reports = {"A0/nocache": [], "A0/cap100": []}
+    for order in (1, -1, 1):
+        for key in list(reports)[::order]:
+            reports[key].append(run_scenario(_config(key)).report)
+    direct, cached = reports.values()
+    direct_mean = statistics.median(r.mean() for r in direct)
+    cached_mean = statistics.median(r.mean() for r in cached)
+    assert cached_mean > direct_mean, (
+        f"median cached mean {cached_mean:.3f} ms not above median direct mean {direct_mean:.3f} ms"
     )
-    strata = cached.stratified_means()
+    strata = MetricsReport([r for report in cached for r in report.records], 0.0).stratified_means()
     assert strata["miss"] > strata["hit"], (
         f"first-request (miss) mean {strata['miss']:.3f} ms not above "
         f"hit mean {strata['hit']:.3f} ms"
     )
-    _pass(3, f"zero-distance cached mean {cached.mean():.3f} ms > direct "
-             f"{direct.mean():.3f} ms; miss {strata['miss']:.3f} > hit {strata['hit']:.3f} ms")
+    _pass(3, f"zero-distance median cached mean {cached_mean:.3f} ms > direct "
+             f"{direct_mean:.3f} ms over 3 alternating pairs; "
+             f"miss {strata['miss']:.3f} > hit {strata['hit']:.3f} ms")
 
 
 def test_criterion_4_hit_miss_stratification():
@@ -325,6 +334,7 @@ def _mixed_ops(seed: int, count: int = 500) -> list[dict]:
 
 
 def _transcribed_run(ops: list[dict], through_proxy: bool):
+    """The replies the client read, one per request, and the mock's transcripts."""
     server = MockKVServer(keyspace=50, record_transcript=True).start()
     proxy = None
     target = server.address
@@ -335,32 +345,28 @@ def _transcribed_run(ops: list[dict], through_proxy: bool):
                 capacity=0, shutdown_grace=0.2,
             )).start()
             target = proxy.address
-        with ProtocolClient(target, record_transcript=True) as client:
-            client.request_doc({"hello": 1, "client": "netlab"})
-            for op in ops:
-                client.request(op)
-            client_transcript = client.transcript
-        time.sleep(0.1)
-        server_transcript = server.transcripts
+        with ProtocolClient(target) as client:
+            replies = [send_and_read(client, op)
+                       for op in [{"hello": 1, "client": "netlab"}] + ops]
     finally:
         if proxy is not None:
             proxy.stop(grace=0.2)
         server.stop()
-    return client_transcript, server_transcript
+    return replies, server.transcripts
 
 
 def test_criterion_10_transparency():
     ops = _mixed_ops(seed=777, count=500)
-    direct_client, direct_server = _transcribed_run(ops, through_proxy=False)
-    proxied_client, proxied_server = _transcribed_run(ops, through_proxy=True)
-    assert proxied_client["sent"] == direct_client["sent"]
-    assert proxied_client["received"] == direct_client["received"]
+    direct_replies, direct_server = _transcribed_run(ops, through_proxy=False)
+    proxied_replies, proxied_server = _transcribed_run(ops, through_proxy=True)
+    assert proxied_replies == direct_replies
     assert len(proxied_server) == len(direct_server) == 1
     assert proxied_server[0]["received"] == direct_server[0]["received"]
     assert proxied_server[0]["sent"] == direct_server[0]["sent"]
-    messages = len(direct_client["sent"]) + len(direct_client["received"])
+    messages = len(direct_replies) + len(direct_server[0]["received"]) + len(direct_server[0]["sent"])
     _pass(10, f"capacity-0 transcripts of a 500-request mixed workload are "
-              f"byte-identical to a direct connection on both legs ({messages} messages)")
+              f"byte-identical to a direct connection: the client's replies and "
+              f"the server's requests and replies ({messages} messages)")
 
 
 def test_criterion_11_stats_conservation():

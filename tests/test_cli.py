@@ -44,6 +44,19 @@ def test_proxy_cli_rejects_nonpositive_stats_interval(tmp_path):
     assert done.returncode == 2
 
 
+def test_proxy_cli_unopenable_stats_out_is_one_error_line(tmp_path):
+    path = tmp_path / "missing" / "stats.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "netkvcache.cli",
+         "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1", "--capacity", "1",
+         "--stats-out", str(path)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 1
+    assert str(path) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_proxy_cli_bind_failure_exit_code():
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))

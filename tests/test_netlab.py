@@ -26,12 +26,15 @@ from netkvcache.netlab.scenario import (
     summarize_single,
 )
 from netkvcache.netlab.workload import (
+    MetricsReport,
     ProtocolClient,
+    RequestRecord,
     WorkloadConfig,
     key_sequence,
-    simulate_outcomes,
 )
+from netkvcache.storage import Policy
 from netkvcache.wire import encode_document, make_message, read_message
+from support import simulate_outcomes
 
 
 @pytest.fixture
@@ -528,6 +531,29 @@ def test_scenario_run_cached_and_reconciled(tmp_path):
         assert (out / name).exists()
     header = (out / "requests.csv").read_text().splitlines()[0]
     assert header == "seq,key,outcome,latency_ms"
+    summary = (out / "summary.txt").read_text().splitlines()
+    for outcome in ("hit", "miss"):
+        assert any(line.startswith(f"latency ms, {outcome}: n ") for line in summary), summary
+
+
+@pytest.mark.parametrize("policy", ["noevict", "fifo", "lru"])
+def test_scenario_labels_match_the_policy_model(policy):
+    # Labels come from what the mock received; the model knows only the keys.
+    cfg = tiny_config(delays=DelaySpec(0.0, 0.0), capacity=4, policy=Policy(policy))
+    report = run_scenario(cfg).report
+    expected = simulate_outcomes(key_sequence(cfg.workload()), 4, policy)
+    assert [r.outcome for r in report.records] == expected
+    assert report.reconciled is True
+
+
+def test_percentile_is_nearest_rank():
+    def report(n: int) -> MetricsReport:
+        return MetricsReport([RequestRecord(i, 1, "direct", float(i + 1), 0.0, i)
+                              for i in range(n)], 1.0)
+
+    assert report(30).percentile(95) == 29.0
+    assert report(150).percentile(99) == 149.0
+    assert report(30).percentile(0) == 1.0 and report(30).percentile(100) == 30.0
 
 
 def test_scenario_runs_its_threads_on_one_cpu_then_restores(monkeypatch):

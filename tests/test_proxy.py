@@ -17,6 +17,7 @@ from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
 from netkvcache.storage import CacheStore, Policy, canonical_key
 from netkvcache.wire import ConnectionClosed, SocketStream, decode_document, read_message
+from support import send_and_read
 
 
 @pytest.fixture
@@ -239,13 +240,11 @@ def test_collection_not_named_by_a_string_is_never_cached(server):
 def test_coordination_traffic_passes_byte_identically(server):
     proxy = start_proxy(server.address)
     try:
-        with ProtocolClient(server.address, record_transcript=True) as direct:
-            direct.request({"hello": 1, "client": "t"})
-            direct.request({"ping": 1})
-        with ProtocolClient(proxy.address, record_transcript=True) as proxied:
-            proxied.request({"hello": 1, "client": "t"})
-            proxied.request({"ping": 1})
-        assert direct.transcript == proxied.transcript
+        ops = [{"hello": 1, "client": "t"}, {"ping": 1}]
+        with ProtocolClient(server.address) as direct:
+            expected = [send_and_read(direct, op) for op in ops]
+        with ProtocolClient(proxy.address) as proxied:
+            assert [send_and_read(proxied, op) for op in ops] == expected
     finally:
         proxy.stop(grace=0.2)
 
@@ -253,13 +252,10 @@ def test_coordination_traffic_passes_byte_identically(server):
 def test_coordination_soak_1000_messages_byte_identical(server):
     proxy = start_proxy(server.address)
     try:
-        with ProtocolClient(server.address, record_transcript=True) as direct:
-            for i in range(1000):
-                direct.request({"ping": i})
-        with ProtocolClient(proxy.address, record_transcript=True) as proxied:
-            for i in range(1000):
-                proxied.request({"ping": i})
-        assert proxied.transcript == direct.transcript
+        with ProtocolClient(server.address) as direct:
+            expected = [send_and_read(direct, {"ping": i}) for i in range(1000)]
+        with ProtocolClient(proxy.address) as proxied:
+            assert [send_and_read(proxied, {"ping": i}) for i in range(1000)] == expected
     finally:
         proxy.stop(grace=0.2)
     stats = proxy.store.snapshot_stats()
