@@ -1,7 +1,9 @@
 """One event-loop thread that owns a listener, every connection it accepts,
 and their sockets, frames and timers.
 
-The proxy, each delay pipe and each mock server is a ``Loop``. A connection
+The proxy, each delay pipe and each mock server is a ``Loop``. ``start``
+opens it and runs it on its own thread; a test may instead ``open`` it and
+turn it with ``step``. ``stop`` closes it on the calling thread. A connection
 has one or two legs, one per socket (``Leg``). Each frame read from a leg
 goes to the leg's handler, which writes into the leg or its peer, or holds
 it for later. Once a leg has ended and holds nothing more for its peer,
@@ -148,6 +150,7 @@ class Loop:
         self._timers: list[tuple[float, int, Callable, tuple]] = []  # a heap
         self._timer_order = itertools.count()  # orders timers due at the same time
         self._stop_at: float | None = None
+        self._selector: selectors.BaseSelector | None = None  # set by open()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -165,7 +168,8 @@ class Loop:
         reaches ``when``. Call it on the loop thread, or before ``start``."""
         heapq.heappush(self._timers, (when, next(self._timer_order), fn, args))
 
-    def start(self):
+    def open(self):
+        """Bind, ``_prepare`` and set up the selector; start no thread."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -187,41 +191,52 @@ class Loop:
         self._wake_r, self._wake_w = socket.socketpair()
         self._selector.register(self._wake_r, selectors.EVENT_READ,
                                 lambda _events: self._wake_r.recv(64))
+        return self
+
+    def start(self):
+        self.open()
         self._thread = threading.Thread(target=self._run, name=self.thread_name, daemon=True)
         self._thread.start()
         return self
 
     def stop(self, grace: float = 0.0) -> None:
-        """Stop accepting, wait up to ``grace`` s while ``_busy()``, close all."""
-        if self._thread is None or not self._thread.is_alive():
+        """Stop accepting, wait up to ``grace`` s while ``_busy()``, then close all."""
+        if self._selector is None:
             return
-        self._stop_at = time.perf_counter() + grace
-        self._wake_w.send(b"\0")
-        self._thread.join()
-        self._wake_r.close()
-        self._wake_w.close()
+        if self._thread is not None:
+            self._stop_at = time.perf_counter() + grace
+            self._wake_w.send(b"\0")
+            self._thread.join()
+        for conn in list(self._connections):
+            self.end(conn)
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        self._selector.close()
+        self._selector = None
 
     def _run(self) -> None:
-        select, run_timers, on_event = self._selector.select, self._run_timers, self._on_event
         while True:
-            timeout = run_timers()
+            timeout = self._run_timers()
             if self._stop_at is not None:
                 if self._listener.fileno() >= 0:
                     self._selector.unregister(self._listener)
                     self._listener.close()
                 left = self._stop_at - time.perf_counter()
                 if left <= 0 or not self._busy():
-                    break
+                    return
                 timeout = left if timeout is None else min(timeout, left)
-            for key, events in select(timeout):
-                data = key.data
-                if data.__class__ is Leg:
-                    on_event(data, events)
-                else:
-                    data(events)
-        for conn in list(self._connections):
-            self.end(conn)
-        self._selector.close()
+            self.step(timeout)
+
+    def step(self, timeout: float | None) -> int:
+        """Dispatch one ``select(timeout)``'s events, not timers; return their number."""
+        events = self._selector.select(timeout)
+        for key, mask in events:
+            data = key.data
+            if data.__class__ is Leg:
+                self._on_event(data, mask)
+            else:
+                data(mask)
+        return len(events)
 
     def _run_timers(self) -> float | None:
         """Run the timers that are due; return how long ``select`` may then

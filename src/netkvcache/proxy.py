@@ -3,10 +3,11 @@ messages through the flow classifier and cache engine in both directions.
 
 ``CacheProxy`` is a ``loop.Loop``: its one thread owns the store and
 every session's sockets, buffers and pending table, so none needs a lock.
-Upstream connects are non-blocking, so a slow or hanging upstream holds
-up only its own session, and a loop timer ends a session whose connect
-takes too long. Once connected, a session is two legs, client and
-upstream, each handing its frames to the engine. Another timer writes
+The upstream's name is resolved once, at start, and its connects are
+non-blocking, so a slow or hanging upstream holds up only its own
+session; a loop timer ends a session whose connect takes too long.
+Once connected, a session is two legs, client and upstream, each
+handing its frames to the engine. Another timer writes
 each statistics row to ``stats_out`` as it is taken.
 
 Coordination traffic is relayed byte-identically; manipulation traffic
@@ -73,19 +74,14 @@ class Session(Connection):
         # and stop waits for it.
         self.forwarded = self.answered = 0
         self._ids = itertools.count(1)
-        upstream = proxy.config.upstream
         self.client = Leg(client_sock, "client", self._from_client)
-        try:
-            self._addresses = socket.getaddrinfo(*upstream, type=socket.SOCK_STREAM)
-        except OSError as exc:
-            raise ConnectionError(f"cannot resolve upstream {upstream}: {exc}") from exc
+        self._addresses = iter(proxy.upstream_addresses)
         self._dial()
         proxy.call_at(time.perf_counter() + CONNECT_TIMEOUT_S, self._connect_timed_out)
 
     def _dial(self) -> None:
         """Start a non-blocking connect to the next upstream address."""
-        while self._addresses:
-            family, kind, proto, _, address = self._addresses.pop(0)
+        for family, kind, proto, _, address in self._addresses:  # resumes where it stopped
             sock = socket.socket(family, kind, proto)
             leg = Leg(sock, "server", self._from_server)
             err = sock.connect_ex(address)
@@ -159,6 +155,10 @@ class CacheProxy(Loop):
         self._stats: csv.DictWriter | None = None  # None while no rows are taken
 
     def _prepare(self) -> None:
+        try:
+            self.upstream_addresses = socket.getaddrinfo(*self.config.upstream, type=socket.SOCK_STREAM)
+        except OSError as exc:
+            raise OSError(f"cannot resolve upstream {self.config.upstream}: {exc}") from exc
         if self.config.stats_out:
             self._stats_file = open(self.config.stats_out, "w", newline="")
             self._stats = csv.DictWriter(self._stats_file, fieldnames=STATS_CSV_COLUMNS)

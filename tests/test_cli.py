@@ -57,6 +57,25 @@ def test_proxy_cli_unopenable_stats_out_is_one_error_line(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_proxy_cli_unresolvable_upstream_is_one_error_line():
+    # The lookup fails in-process, so no name server is asked.
+    code = ("import socket, sys\n"
+            "def fail(*args, **kwargs):\n"
+            "    raise socket.gaierror(socket.EAI_NONAME, 'Name or service not known')\n"
+            "socket.getaddrinfo = fail\n"
+            "from netkvcache import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code,
+         "--listen", "127.0.0.1:0", "--upstream", "db.invalid:27017", "--capacity", "1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 1
+    assert "cannot resolve upstream" in done.stderr and "db.invalid" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1
+
+
 def test_proxy_cli_bind_failure_exit_code():
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import os
+import select
 import socket
 import statistics
 import threading
@@ -418,6 +419,28 @@ def test_timers_run_in_due_order_and_ties_in_call_order():
     finally:
         loop.stop()
     assert ran == [(name, True) for name in ("a1", "a2", "b", "c", "chain", "chained")]
+
+
+def test_a_loop_opened_without_its_thread_is_stepped_and_stopped_by_its_caller():
+    Loop(("127.0.0.1", 0)).stop()  # never opened: nothing to close
+    threads = threading.active_count()
+    server = MockKVServer(keyspace=5).open()
+    client = socket.create_connection(server.address, timeout=2)
+    try:
+        find = encode_document({"find": "phrases", "filter": {"_id": 1}})
+        client.sendall(make_message(7, 0, find).to_bytes())
+        deadline = time.monotonic() + 2.0
+        while not select.select([client], [], [], 0)[0] and time.monotonic() < deadline:
+            server.step(0.1)  # the accept, then the request
+        reply = read_message(wire.SocketStream(client))
+        assert reply.header.response_to == 7
+        assert threading.active_count() == threads
+        assert server.step(0) == 0  # quiet
+    finally:
+        server.stop()
+    assert client.recv(1) == b""  # stop closed the connection on this thread
+    server.stop()  # only the first stop acts
+    client.close()
 
 
 @pytest.mark.parametrize("oneway", [0.0, 0.005])

@@ -7,6 +7,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netkvcache import proxy as proxy_module
 from netkvcache.engine import store_key
@@ -16,8 +18,11 @@ from netkvcache.netlab.mockserver import MockKVServer
 from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
 from netkvcache.storage import CacheStore, Policy, canonical_key
-from netkvcache.wire import ConnectionClosed, SocketStream, decode_document, read_message
-from support import send_and_read
+from netkvcache.wire import (
+    DEFAULT_MAX_MESSAGE_BYTES, HEADER_SIZE, ConnectionClosed, SocketStream, decode_document,
+    make_message, read_message,
+)
+from support import SteppedWorld, send_and_read
 
 
 @pytest.fixture
@@ -277,6 +282,43 @@ def test_oversize_message_tears_down_session_only(server):
         proxy.stop(grace=0.2)
 
 
+BAD_LENGTHS = st.integers(0, HEADER_SIZE - 1) | st.integers(DEFAULT_MAX_MESSAGE_BYTES + 1, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sender=st.sampled_from(["client", "upstream"]),
+    kind=st.sampled_from(["binary", "length", "document"]),
+    data=st.binary(min_size=1, max_size=120),
+    length=BAD_LENGTHS,
+    answers_pending=st.booleans(),
+)
+def test_bad_bytes_end_only_the_session_that_sent_them(sender, kind, data, length,
+                                                       answers_pending):
+    find = {"find": "p", "filter": {"_id": 5}}
+    with SteppedWorld([[find], [find, find]]) as world:
+        bad, good = world.sessions
+        world.send(bad)  # forwarded: the bad session has a find pending
+        world.send(good)
+        if kind == "length":
+            data = length.to_bytes(4, "little") + data
+        elif kind == "document":  # a whole frame whose body is not a valid document
+            data = make_message(999, bad.awaited[0] if answers_pending else 0, data).to_bytes()
+        (bad.client if sender == "client" else bad.server).sock.sendall(data)
+        world.settle()  # no exception escapes Loop.step
+        if kind == "length":
+            assert bad.client.ended and bad.server.ended
+        while good.sent < len(good.script) or good.at_server or good.replies:
+            if good.replies:
+                world.reply(good)
+            elif good.at_server:
+                world.apply(good)
+            else:
+                world.send(good)
+        assert good.violations == [] and not good.awaited
+        assert not good.client.ended and world.proxy.store.snapshot_stats().hits == 1
+
+
 def test_per_leg_order_preserved_with_pipelined_messages(server):
     proxy = start_proxy(server.address)
     try:
@@ -428,6 +470,32 @@ def test_hanging_upstream_connect_blocks_no_other_session(monkeypatch):
         assert time.monotonic() - t1 < 1.0
         for sock in clients + fillers + [listener]:
             sock.close()
+
+
+def test_slow_upstream_lookup_after_start_holds_up_no_session(server, monkeypatch):
+    # The upstream is resolved at start; a lookup on the loop thread for a
+    # new client would hold up every other session.
+    proxy = start_proxy(server.address)
+    getaddrinfo = socket.getaddrinfo
+
+    def slow(*args, **kwargs):
+        if threading.current_thread().name == "proxy-loop":
+            time.sleep(0.3)
+        return getaddrinfo(*args, **kwargs)
+
+    try:
+        with ProtocolClient(proxy.address) as settled:
+            settled.find(1)  # a miss and its fill
+            monkeypatch.setattr(socket, "getaddrinfo", slow)
+            with ProtocolClient(proxy.address) as newcomer:
+                time.sleep(0.05)  # the newcomer is accepted
+                t0 = time.monotonic()
+                assert settled.find(1)["cursor"]["firstBatch"][0]["_id"] == 1
+                assert time.monotonic() - t0 < 0.1
+                assert newcomer.find(2)["cursor"]["firstBatch"][0]["_id"] == 2
+    finally:
+        proxy.stop(grace=0.2)
+    assert proxy.store.snapshot_stats().hits == 1
 
 
 def test_idle_proxy_makes_no_zero_timeout_turns_for_its_timers(server, monkeypatch):
