@@ -10,6 +10,8 @@ from .storage import Policy
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One option per ``ProxyConfig`` field, defaulting as the config does."""
+    default = ProxyConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="netkv-cache",
         description="Transparent caching proxy for a key-value wire protocol.",
@@ -20,33 +22,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="address of the key-value server")
     parser.add_argument("--capacity", required=True, type=int, metavar="N",
                         help="maximum number of cached entries (0 disables caching)")
-    parser.add_argument("--policy", default="noevict",
+    parser.add_argument("--policy", default=default["policy"].value,
                         choices=[p.value for p in Policy],
-                        help="replacement behavior at capacity (default: noevict)")
-    parser.add_argument("--log-level", default="info", choices=sorted(LOG_LEVELS),
-                        help="log verbosity (default: info)")
-    parser.add_argument("--stats-interval", default=1.0, type=float, metavar="SECS",
-                        help="seconds between statistics rows, > 0 (default: 1)")
-    parser.add_argument("--stats-out", default=None, metavar="FILE.csv",
+                        help="replacement behavior at capacity (default: %(default)s)")
+    parser.add_argument("--log-level", default=default["log_level"], choices=sorted(LOG_LEVELS),
+                        help="log verbosity (default: %(default)s)")
+    parser.add_argument("--stats-interval", default=default["stats_interval"], type=float,
+                        metavar="SECS", help="seconds between stats rows (default: %(default)s)")
+    parser.add_argument("--stats-out", default=default["stats_out"], metavar="FILE.csv",
                         help="write a statistics row to this CSV file every interval")
-    parser.add_argument("--shutdown-grace", default=5.0, type=float, metavar="SECS",
-                        help="drain period before sessions are closed on shutdown")
+    parser.add_argument("--shutdown-grace", default=default["shutdown_grace"], type=float,
+                        metavar="SECS", help="drain period on shutdown (default: %(default)s)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = ProxyConfig(
-        listen=args.listen,
-        upstream=args.upstream,
-        capacity=args.capacity,
-        policy=Policy(args.policy),
-        log_level=args.log_level,
-        stats_interval=args.stats_interval,
-        stats_out=args.stats_out,
-        shutdown_grace=args.shutdown_grace,
-    )
-    return run_proxy(config)
+    args.policy = Policy(args.policy)
+    return run_proxy(ProxyConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -4,16 +4,16 @@ and their sockets, frames and timers.
 The proxy, each delay pipe and each mock server is a ``Loop``. ``start``
 opens it and runs it on its own thread; a test may instead ``open`` it and
 turn it with ``step``. ``stop`` closes it on the calling thread. A connection
-has one or two legs, one per socket (``Leg``). Each frame read from a leg
-goes to the leg's handler, which writes into the leg or its peer, or holds
-it for later. Once a leg has ended and holds nothing more for its peer,
-the peer is shut for writing, so a half-close passes through. A connection
-reads only while its legs hold at most ``MAX_QUEUED_BYTES`` unsent, so a
-peer that never reads costs at most that plus one frame. Timers
-(``call_at``) run on the same thread, in due order, on ``perf_counter``.
-One guard, ``serve``, runs each socket event and each timer of a
-connection: an error on a leg, or a handler or timer that raises, ends
-that connection alone.
+has one or two legs, one per socket (``Leg``); a leg records when it last
+read. Each frame read from a leg goes to the leg's handler, which writes
+into the leg or its peer, or holds it for later. Once a leg has ended and
+holds nothing more for its peer, the peer is shut for writing, so a
+half-close passes through. A connection reads only while its legs hold at
+most ``MAX_QUEUED_BYTES`` unsent, so a peer that never reads costs at most
+that plus one frame. Timers (``call_at``) run on the same thread, in due
+order, on ``perf_counter``. One guard, ``serve``, runs each socket event
+and each timer of a connection: an error on a leg, or a handler or timer
+that raises, ends that connection alone.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class BindFailure(RuntimeError):
 
 class Leg:
     """One non-blocking socket of a connection: the bytes received but not
-    yet framed, the bytes queued to send, and the ``handler`` each frame
-    read goes to. A handler that holds a frame for later counts its bytes
-    in ``held`` until it hands the frame over.
+    yet framed, the bytes queued to send, when it last read (``arrived``),
+    and the ``handler`` each frame read goes to. A handler that holds a
+    frame for later counts its bytes in ``held`` until it hands it over.
 
     It is the stream ``read_message`` reads a buffered frame from, once
     ``frame_ready`` says the frame is in, and the stream ``write_message``
@@ -52,7 +52,7 @@ class Leg:
     """
 
     __slots__ = ("sock", "name", "inbuf", "outbuf", "events", "handler",
-                 "conn", "held", "reading", "writing")
+                 "conn", "held", "reading", "writing", "arrived")
 
     def __init__(self, sock: socket.socket, name: str,
                  handler: Callable[[wire.RawMessage], None] | None = None):
@@ -66,6 +66,7 @@ class Leg:
         self.held = 0  # bytes of frames its handler holds, not yet handed over
         self.reading = True  # until ``fill`` hits end of stream
         self.writing = True  # until the socket is shut for writing
+        self.arrived = 0.0  # perf_counter() just before the last ``fill``'s recv
 
     def read(self, n: int) -> bytes:
         # One copy; the view is released before the buffer is resized.
@@ -89,6 +90,7 @@ class Leg:
 
     def fill(self) -> bool:
         """Append what the socket has to ``inbuf``; at end of stream, False."""
+        self.arrived = time.perf_counter()
         data = self.sock.recv(RECV_BYTES)
         self.inbuf += data
         self.reading = bool(data)
@@ -233,7 +235,7 @@ class Loop:
         for key, mask in events:
             data = key.data
             if data.__class__ is Leg:
-                self._on_event(data, mask)
+                self.serve(data.conn, data.fill if mask & selectors.EVENT_READ else None)
             else:
                 data(mask)
         return len(events)
@@ -285,9 +287,6 @@ class Loop:
             leg.outbuf.clear()
         self._connections.discard(conn)
         conn.on_close()
-
-    def _on_event(self, leg: Leg, events: int) -> None:
-        self.serve(leg.conn, leg.fill if events & selectors.EVENT_READ else None)
 
     def serve(self, conn: Connection, fn: Callable | None, *args) -> None:
         """Run ``fn(*args)``, if given, for ``conn``, then drive ``conn``;

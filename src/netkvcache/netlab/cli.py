@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import sys
 import time
@@ -43,41 +44,38 @@ def _above(convert, low):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", default="B-ohio",
+    """The ``ScenarioConfig`` options of ``run`` and ``sweep``, each named by
+    its field and defaulting as the config does."""
+    parser.add_argument("--scenario", dest="name", default="B-ohio",
                         choices=sorted(SCENARIO_DELAYS) + ["custom"],
-                        help="delay layout to emulate (default: B-ohio)")
-    parser.add_argument("--delays", default=None, type=_list_of(float, 2), metavar="D1,D2",
-                        help="custom one-way delays ms >= 0 (client-cache,cache-server); "
-                             "required with --scenario custom")
-    parser.add_argument("--keyspace", default=100, type=_above(int, 0))
-    parser.add_argument("--batches", default=30, type=_above(int, 0))
-    parser.add_argument("--per-batch", default=1000, type=_above(int, 0))
-    parser.add_argument("--policy", default="noevict",
-                        choices=[p.value for p in Policy])
-    parser.add_argument("--time-scale", default=1.0, type=_above(float, 0), metavar="D",
-                        help="divide all delays by D > 0 (default: 1, full scale)")
-    parser.add_argument("--seed", default=42, type=int)
-    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="delay layout to emulate (default: %(default)s)")
+    parser.add_argument("--delays", type=_list_of(float, 2), metavar="D1,D2",
+                        help="one-way ms >= 0 (client-cache,cache-server) for --scenario custom")
+    parser.add_argument("--keyspace", default=ScenarioConfig.keyspace, type=_above(int, 0),
+                        metavar="N", help="keys 1..N (default: %(default)s)")
+    parser.add_argument("--batches", default=ScenarioConfig.batches, type=_above(int, 0),
+                        help="batches of requests (default: %(default)s)")
+    parser.add_argument("--per-batch", default=ScenarioConfig.per_batch, type=_above(int, 0),
+                        help="requests per batch (default: %(default)s)")
+    parser.add_argument("--policy", default=ScenarioConfig.policy.value,
+                        choices=[p.value for p in Policy], help="(default: %(default)s)")
+    parser.add_argument("--time-scale", default=ScenarioConfig.time_scale, type=_above(float, 0),
+                        metavar="D", help="divide all delays by D > 0 (default: %(default)s)")
+    parser.add_argument("--seed", default=ScenarioConfig.seed, type=int,
+                        help="seed of the key sequence (default: %(default)s)")
+    parser.add_argument("--out", dest="out_dir", metavar="DIR",
                         help="write summary.txt, requests.csv, throughput.csv, stats.csv here")
 
 
-def _config_from(args, capacity: int, with_cache: bool, out_dir=None) -> ScenarioConfig:
-    if args.scenario == "custom" and not args.delays:
+def _config_from(options: dict) -> ScenarioConfig:
+    """``run``'s or ``sweep``'s options, less the command, as a config."""
+    delays = options.pop("delays")
+    options["policy"] = Policy(options["policy"])
+    if options["name"] != "custom":
+        return ScenarioConfig.named(**options)
+    if not delays:
         raise SystemExit("--scenario custom requires --delays D1,D2")
-    delays = DelaySpec(*args.delays) if args.scenario == "custom" else SCENARIO_DELAYS[args.scenario]
-    return ScenarioConfig(
-        name=args.scenario,
-        delays=delays,
-        capacity=capacity,
-        policy=Policy(args.policy),
-        keyspace=args.keyspace,
-        batches=args.batches,
-        per_batch=args.per_batch,
-        with_cache=with_cache,
-        time_scale=args.time_scale,
-        seed=args.seed,
-        out_dir=out_dir,
-    )
+    return ScenarioConfig(delays=DelaySpec(*delays), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,34 +87,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario cell")
     _add_common(run)
-    run.add_argument("--capacity", default=100, type=_above(int, -1))
-    run.add_argument("--no-cache", action="store_true",
+    run.add_argument("--capacity", default=ScenarioConfig.capacity, type=_above(int, -1),
+                     help="maximum number of cached entries (default: %(default)s)")
+    run.add_argument("--no-cache", dest="with_cache", action="store_false",
                      help="measure the direct path instead of the cached one")
 
     sweep = sub.add_parser("sweep", help="run a capacity sweep plus no-cache baseline")
     _add_common(sweep)
     sweep.add_argument("--capacities", default="10,30,70,100", type=_list_of(int), metavar="LIST",
-                       help="comma-separated capacities (default: 10,30,70,100)")
+                       help="comma-separated capacities (default: %(default)s)")
 
     mock = sub.add_parser("mock-server", help="run the mock key-value server standalone")
+    default = {name: p.default for name, p in inspect.signature(MockKVServer).parameters.items()}
     mock.add_argument("--listen", required=True, type=parse_address, metavar="HOST:PORT")
-    mock.add_argument("--keys", default=100, type=int)
-    mock.add_argument("--seed", default=1234, type=int)
-    mock.add_argument("--doc-size", default=200, type=int)
+    mock.add_argument("--keys", dest="keyspace", default=default["keyspace"], type=int,
+                      metavar="N", help="serve keys 1..N (default: %(default)s)")
+    mock.add_argument("--seed", default=default["seed"], type=int, help="(default: %(default)s)")
+    mock.add_argument("--doc-size", default=default["doc_size"], type=int,
+                      help="phrase length of each seeded document (default: %(default)s)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
 
-    if args.command == "mock-server":
-        server = MockKVServer(
-            listen=args.listen, keyspace=args.keys,
-            seed=args.seed, doc_size=args.doc_size,
-        ).start()
+    if command == "mock-server":
+        server = MockKVServer(**options).start()
         print(f"mock server on {server.address[0]}:{server.address[1]} "
-              f"with keys 1..{args.keys}; Ctrl-C to stop")
+              f"with keys 1..{options['keyspace']}; Ctrl-C to stop")
         try:
             while True:
                 time.sleep(3600)
@@ -124,19 +124,14 @@ def main(argv: list[str] | None = None) -> int:
             server.stop()
         return 0
 
-    if args.command == "run":
-        cfg = _config_from(args, args.capacity, not args.no_cache, args.out)
-        result = run_scenario(cfg)
-        print(summarize_single(result), end="")
+    if command == "run":
+        print(summarize_single(run_scenario(_config_from(options))), end="")
         return 0
 
-    if args.command == "sweep":
-        cfg = _config_from(args, args.capacities[0], True)
-        sweep_result = run_capacity_sweep(cfg, args.capacities, args.out)
-        print(summarize(sweep_result), end="")
-        return 0
-
-    return 2
+    capacities, out_root = options.pop("capacities"), options.pop("out_dir")  # sweep
+    base = _config_from(options | {"capacity": capacities[0]})
+    print(summarize(run_capacity_sweep(base, capacities, out_root)), end="")
+    return 0
 
 
 if __name__ == "__main__":

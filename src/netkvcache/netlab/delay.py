@@ -1,12 +1,13 @@
 """One-way-delay link emulation over TCP, at message granularity: the
 lab's only source of delay, and the one home of the pipe's clock.
 
-A ``DelayPipe`` is a ``loop.Loop`` whose legs' handlers hold each frame:
-stamped when its bytes arrive, counted in ``Leg.held``, and handed to the
-other side ``oneway_s`` later by a loop timer, through the loop's guard.
-Timers run in due order, so one leg's frames keep their order and
-back-to-back frames overlap their delays, as on a real long link. A 0 ms pipe's timer
-is due at once; the lab wires a zero delay as a plain connection.
+A ``DelayPipe`` is a ``loop.Loop`` whose legs' handlers hold each frame,
+counted in ``Leg.held``, until ``oneway_s`` after the read that brought
+its bytes (``Leg.arrived``); a loop timer then hands it to the other side,
+through the loop's guard. Timers run in due order, so one leg's frames
+keep their order and back-to-back frames overlap their delays, as on a
+real long link. A 0 ms pipe's timer is due at once; the lab wires a zero
+delay as a plain connection.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class DelayPipe(Loop):
         super().__init__(listen)
         self.target = target
         self.oneway_s = oneway_ms / 1000.0
-        self._arrival: tuple[Leg | None, float] = (None, 0.0)  # the leg an event reads, and when
 
     def _accepted(self, sock: socket.socket) -> Connection:
         # A blocking connect on the loop thread: the lab's targets are
@@ -53,13 +53,6 @@ class DelayPipe(Loop):
         near.handler = lambda m: self._hold(near, far, m)
         far.handler = lambda m: self._hold(far, near, m)
         return self.attach(Connection(near, far))
-
-    def _on_event(self, leg: Leg, events: int) -> None:
-        # Taken before the recv, so the frames this event frames out of
-        # ``leg`` are not charged the time spent framing them.
-        self._arrival = leg, time.perf_counter()
-        super()._on_event(leg, events)
-        self._arrival = None, 0.0
 
     def _run_timers(self) -> float | None:
         timeout = super()._run_timers()
@@ -71,11 +64,10 @@ class DelayPipe(Loop):
         return 0
 
     def _hold(self, leg: Leg, peer: Leg, m: wire.RawMessage) -> None:
-        """Hold a frame just taken from ``leg`` until ``oneway_s`` after it
-        arrived: the start of this event on ``leg``, or else now."""
+        """Hold a frame just taken from ``leg`` until ``oneway_s`` after the
+        read that brought its bytes, not after the time spent framing it."""
         leg.held += m.header.length
-        reading, since = self._arrival
-        at = (since if reading is leg else time.perf_counter()) + self.oneway_s
+        at = leg.arrived + self.oneway_s
         self.call_at(at, self._hand_over, leg, peer, m, at)
 
     def _hand_over(self, leg: Leg, peer: Leg, m: wire.RawMessage, at: float) -> None:

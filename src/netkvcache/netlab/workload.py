@@ -27,7 +27,6 @@ class WorkloadConfig:
     keyspace: int = 100
     seed: int = 42
     request_timeout_s: float = 10.0
-    hello: bool = True
 
     @property
     def total_requests(self) -> int:
@@ -183,15 +182,14 @@ class ProtocolClient:
 
 
 def run_workload(target: tuple[str, int], cfg: WorkloadConfig) -> MetricsReport:
-    """Issue the configured find workload and measure per-request latency.
+    """Send a hello, then issue the configured find workload and time each find.
 
     Each request is labeled "direct", or "timeout" if its reply did not come.
     """
     records: list[RequestRecord] = []
     timeouts = 0
     with ProtocolClient(target, timeout_s=cfg.request_timeout_s) as client:
-        if cfg.hello:
-            client.request_doc({"hello": 1, "client": "netlab"})
+        client.request_doc({"hello": 1, "client": "netlab"})
         started = time.perf_counter()
         for seq, key in enumerate(key_sequence(cfg)):
             body = {"find": "phrases", "filter": {"_id": {"$eq": key}}}

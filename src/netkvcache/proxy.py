@@ -145,8 +145,11 @@ class CacheProxy(Loop):
     thread_name = "proxy-loop"
 
     def __init__(self, config: ProxyConfig):
-        if not config.stats_interval > 0:
-            raise ValueError("stats interval must be positive")
+        # Finite, or the loop's select() raises OverflowError and its thread dies.
+        if not 0 < config.stats_interval < float("inf"):
+            raise ValueError("stats interval must be positive and finite")
+        if not 0 <= config.shutdown_grace < float("inf"):
+            raise ValueError("shutdown grace must be >= 0 and finite")
         super().__init__(config.listen)
         self.config = config
         self.store = CacheStore(config.capacity, config.policy)

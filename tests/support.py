@@ -5,7 +5,6 @@ a short script."""
 
 from __future__ import annotations
 
-import io
 import itertools
 import random
 import socket
@@ -13,6 +12,7 @@ import string
 from collections import OrderedDict, deque
 
 from netkvcache import wire
+from netkvcache.loop import Leg
 from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import CacheProxy, ProxyConfig
 from netkvcache.wire import MessageHeader, RawMessage
@@ -125,33 +125,20 @@ def _written_keys(body: dict) -> list:
     return keys
 
 
-class _Peer:
-    """The test's end of one socket: its unframed bytes, and whether it has
-    seen the end of the stream."""
-
-    def __init__(self, sock: socket.socket):
-        sock.setblocking(False)
-        self.sock, self.inbuf, self.ended = sock, bytearray(), False
-
-    def frames(self) -> list[RawMessage]:
-        """Every whole frame the socket has, once the proxy is quiet."""
-        while not self.ended:
-            try:
-                data = self.sock.recv(1 << 16)
-            except BlockingIOError:
-                break
-            except OSError:
-                data = b""
-            self.ended = not data
-            self.inbuf += data
-        out = []
-        while len(self.inbuf) >= 4:
-            length = int.from_bytes(self.inbuf[:4], "little")
-            if len(self.inbuf) < length:
-                break
-            out.append(wire.read_message(io.BytesIO(bytes(self.inbuf[:length]))))
-            del self.inbuf[:length]
-        return out
+def _frames(leg: Leg) -> list[RawMessage]:
+    """Every whole frame the test's end of a socket has, once the proxy is
+    quiet; ``leg.reading`` goes False once it has seen the end of the stream."""
+    try:
+        while leg.reading and leg.fill():
+            pass
+    except BlockingIOError:
+        pass
+    except OSError:  # reset: the proxy closed its end with bytes unread
+        leg.reading = False
+    out = []
+    while leg.frame_ready():
+        out.append(wire.read_message(leg))
+    return out
 
 
 class StepSession:
@@ -159,7 +146,8 @@ class StepSession:
     script the client sends in order, and what the upstream holds of it."""
 
     def __init__(self, client: socket.socket, server: socket.socket, script: list[dict]):
-        self.client, self.server, self.script = _Peer(client), _Peer(server), script
+        self.client, self.server = Leg(client, "client"), Leg(server, "server")
+        self.script = script
         self.sent = 0
         self.awaited: deque[int] = deque()  # request ids sent, not yet answered, in order
         self.at_server: deque[RawMessage] = deque()  # forwarded, not yet applied
@@ -290,8 +278,8 @@ class SteppedWorld:
         has: requests at the upstream, replies at the clients."""
         self._turn()
         for s in self.sessions:
-            s.at_server.extend(s.server.frames())
-            for m in s.client.frames():
+            s.at_server.extend(_frames(s.server))
+            for m in _frames(s.client):
                 self._received(s, m)
 
     def _received(self, s: StepSession, m: RawMessage) -> None:

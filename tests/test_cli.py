@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import signal
 import socket
@@ -12,6 +14,9 @@ import pytest
 
 from netkvcache import cli as proxy_cli
 from netkvcache.netlab import cli as netlab_cli
+from netkvcache.netlab.mockserver import MockKVServer
+from netkvcache.netlab.scenario import ScenarioConfig
+from netkvcache.proxy import ProxyConfig
 
 
 def test_proxy_process_does_not_load_dataclasses():
@@ -39,6 +44,23 @@ def test_proxy_cli_rejects_nonpositive_stats_interval(tmp_path):
         [sys.executable, "-m", "netkvcache.cli",
          "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1", "--capacity", "1",
          "--stats-interval", "0", "--stats-out", str(tmp_path / "stats.csv")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=10,
+    )
+    assert done.returncode == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--stats-interval", "inf"),
+    ("--shutdown-grace", "nan"),
+    ("--shutdown-grace", "inf"),
+    ("--shutdown-grace", "-1"),
+])
+def test_proxy_cli_rejects_a_non_finite_or_negative_interval(option, value, tmp_path):
+    # A child process, so a proxy that wrongly starts cannot hang the suite.
+    done = subprocess.run(
+        [sys.executable, "-m", "netkvcache.cli",
+         "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1", "--capacity", "1",
+         "--stats-out", str(tmp_path / "stats.csv"), f"{option}={value}"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=10,
     )
     assert done.returncode == 2
@@ -144,6 +166,58 @@ def test_netlab_cli_sweep_tiny(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "no cache" in out and "cap 5" in out
+
+
+class _Built(Exception):
+    """Raised by a stand-in for what a command builds, with what it was given."""
+
+
+def _built(*args, **kwargs):
+    raise _Built(args, kwargs)
+
+
+def test_each_command_given_only_its_required_options_builds_the_defaults(monkeypatch):
+    monkeypatch.setattr(proxy_cli, "run_proxy", _built)
+    monkeypatch.setattr(netlab_cli, "run_scenario", _built)
+    # Wrapped, so the parser still reads the constructor's defaults through it.
+    monkeypatch.setattr(netlab_cli, "MockKVServer", functools.wraps(MockKVServer)(_built))
+    built = []
+    for main, argv in [
+        (proxy_cli.main, ["--listen", "127.0.0.1:1", "--upstream", "127.0.0.1:2", "--capacity", "3"]),
+        (netlab_cli.main, ["run"]),
+        (netlab_cli.main, ["mock-server", "--listen", "127.0.0.1:0"]),
+    ]:
+        with pytest.raises(_Built) as got:
+            main(argv)
+        built.append(got.value.args)
+    mock_defaults = inspect.signature(MockKVServer).parameters
+    assert built == [
+        ((ProxyConfig(("127.0.0.1", 1), ("127.0.0.1", 2), 3),), {}),
+        ((ScenarioConfig.named("B-ohio"),), {}),
+        ((), {"listen": ("127.0.0.1", 0)}
+             | {name: mock_defaults[name].default for name in ("keyspace", "seed", "doc_size")}),
+    ]
+
+
+_SCENARIO_DEFAULTS = [getattr(ScenarioConfig, name) for name in
+                      ("keyspace", "batches", "per_batch", "policy", "time_scale", "seed")]
+
+
+@pytest.mark.parametrize("main, argv, defaults", [
+    (proxy_cli.main, [], [ProxyConfig._field_defaults[name] for name in
+                          ("policy", "log_level", "stats_interval", "shutdown_grace")]),
+    (netlab_cli.main, ["run"], ["B-ohio", ScenarioConfig.capacity, *_SCENARIO_DEFAULTS]),
+    (netlab_cli.main, ["sweep"], ["B-ohio", "10,30,70,100", *_SCENARIO_DEFAULTS]),
+    (netlab_cli.main, ["mock-server"], [inspect.signature(MockKVServer).parameters[name].default
+                                        for name in ("keyspace", "seed", "doc_size")]),
+], ids=["netkv-cache", "run", "sweep", "mock-server"])
+def test_help_shows_each_default(main, argv, defaults, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--help"])
+    assert exited.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    for value in defaults:
+        assert f"(default: {getattr(value, 'value', value)})" in shown
 
 
 def test_netlab_cli_custom_requires_delays():

@@ -647,16 +647,18 @@ def test_workload_timeouts_recorded_and_run_continues():
     silent.bind(("127.0.0.1", 0))
     silent.listen(1)
 
-    def swallow():
+    def answer_hello_then_swallow():
         conn, _ = silent.accept()
-        conn.recv(1 << 16)
-        time.sleep(2.0)
-        conn.close()
+        with conn, conn.makefile("rb") as stream:
+            hello = read_message(stream)
+            conn.sendall(make_message(1, hello.header.request_id,
+                                      encode_document({"ok": 1.0})).to_bytes())
+            conn.recv(1 << 16)
+            time.sleep(2.0)
 
-    eater = threading.Thread(target=swallow, daemon=True)
+    eater = threading.Thread(target=answer_hello_then_swallow, daemon=True)
     eater.start()
-    cfg = WorkloadConfig(batches=1, per_batch=3, keyspace=5, seed=1,
-                         request_timeout_s=0.15, hello=False)
+    cfg = WorkloadConfig(batches=1, per_batch=3, keyspace=5, seed=1, request_timeout_s=0.15)
     report = run_workload(silent.getsockname()[:2], cfg)
     silent.close()
     assert report.timeouts == 3

@@ -307,7 +307,7 @@ def test_bad_bytes_end_only_the_session_that_sent_them(sender, kind, data, lengt
         (bad.client if sender == "client" else bad.server).sock.sendall(data)
         world.settle()  # no exception escapes Loop.step
         if kind == "length":
-            assert bad.client.ended and bad.server.ended
+            assert not bad.client.reading and not bad.server.reading
         while good.sent < len(good.script) or good.at_server or good.replies:
             if good.replies:
                 world.reply(good)
@@ -316,7 +316,7 @@ def test_bad_bytes_end_only_the_session_that_sent_them(sender, kind, data, lengt
             else:
                 world.send(good)
         assert good.violations == [] and not good.awaited
-        assert not good.client.ended and world.proxy.store.snapshot_stats().hits == 1
+        assert good.client.reading and world.proxy.store.snapshot_stats().hits == 1
 
 
 def test_per_leg_order_preserved_with_pipelined_messages(server):
