@@ -46,17 +46,16 @@ def _above(convert, low):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """The ``ScenarioConfig`` options of ``run`` and ``sweep``, each named by
     its field and defaulting as the config does."""
-    parser.add_argument("--scenario", dest="name", default="B-ohio",
-                        choices=sorted(SCENARIO_DELAYS) + ["custom"],
+    layout = parser.add_mutually_exclusive_group()
+    layout.add_argument("--scenario", dest="name", default="B-ohio",
+                        choices=sorted(SCENARIO_DELAYS),
                         help="delay layout to emulate (default: %(default)s)")
-    parser.add_argument("--delays", type=_list_of(float, 2), metavar="D1,D2",
-                        help="one-way ms >= 0 (client-cache,cache-server) for --scenario custom")
+    layout.add_argument("--delays", type=_list_of(float, 2), metavar="D1,D2",
+                        help="one-way ms >= 0 (client-cache,cache-server) of a custom layout")
     parser.add_argument("--keyspace", default=ScenarioConfig.keyspace, type=_above(int, 0),
                         metavar="N", help="keys 1..N (default: %(default)s)")
-    parser.add_argument("--batches", default=ScenarioConfig.batches, type=_above(int, 0),
-                        help="batches of requests (default: %(default)s)")
-    parser.add_argument("--per-batch", default=ScenarioConfig.per_batch, type=_above(int, 0),
-                        help="requests per batch (default: %(default)s)")
+    parser.add_argument("--requests", default=ScenarioConfig.requests, type=_above(int, 0),
+                        metavar="N", help="requests per cell (default: %(default)s)")
     parser.add_argument("--policy", default=ScenarioConfig.policy.value,
                         choices=[p.value for p in Policy], help="(default: %(default)s)")
     parser.add_argument("--time-scale", default=ScenarioConfig.time_scale, type=_above(float, 0),
@@ -69,13 +68,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config_from(options: dict) -> ScenarioConfig:
     """``run``'s or ``sweep``'s options, less the command, as a config."""
-    delays = options.pop("delays")
+    delays, name = options.pop("delays"), options.pop("name")
     options["policy"] = Policy(options["policy"])
-    if options["name"] != "custom":
-        return ScenarioConfig.named(**options)
-    if not delays:
-        raise SystemExit("--scenario custom requires --delays D1,D2")
-    return ScenarioConfig(delays=DelaySpec(*delays), **options)
+    if delays:
+        return ScenarioConfig(delays=DelaySpec(*delays), **options)
+    return ScenarioConfig.named(name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:

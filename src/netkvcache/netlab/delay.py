@@ -37,11 +37,10 @@ class DelayPipe(Loop):
 
     thread_name = "pipe-loop"
 
-    def __init__(self, target: tuple[str, int], oneway_ms: float,
-                 listen: tuple[str, int] = ("127.0.0.1", 0)):
+    def __init__(self, target: tuple[str, int], oneway_ms: float):
         if oneway_ms < 0:
             raise ValueError("oneway_ms must be >= 0")
-        super().__init__(listen)
+        super().__init__(("127.0.0.1", 0))
         self.target = target
         self.oneway_s = oneway_ms / 1000.0
 

@@ -25,6 +25,7 @@ import csv
 import gc
 import logging
 import os
+import random
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from ..proxy import STATS_CSV_COLUMNS, CacheProxy, ProxyConfig
 from ..storage import Policy
 from .delay import DelayPipe
 from .mockserver import MockKVServer
-from .workload import MetricsReport, WorkloadConfig, run_workload
+from .workload import MetricsReport, run_workload
 
 log = logging.getLogger(__name__)
 
@@ -64,8 +65,7 @@ class ScenarioConfig:
     capacity: int = 100
     policy: Policy = Policy.NOEVICT
     keyspace: int = 100
-    batches: int = 30
-    per_batch: int = 1000
+    requests: int = 30_000
     with_cache: bool = True
     time_scale: float = 1.0
     seed: int = 42
@@ -86,17 +86,18 @@ class ScenarioConfig:
             self.delays.cache_server_oneway_ms / self.time_scale,
         )
 
-    def workload(self) -> WorkloadConfig:
-        # Per-request timeout: ten times the expected round trip, floored
-        # so near-zero-delay runs are not trigger-happy.
+    @property
+    def request_timeout_s(self) -> float:
+        """Ten times the expected round trip, floored so that near-zero-delay
+        runs are not trigger-happy."""
         expected_rtt_s = 2 * self.scaled_delays.direct_oneway_ms / 1000.0
-        return WorkloadConfig(
-            batches=self.batches,
-            per_batch=self.per_batch,
-            keyspace=self.keyspace,
-            seed=self.seed,
-            request_timeout_s=max(1.0, 10 * expected_rtt_s),
-        )
+        return max(1.0, 10 * expected_rtt_s)
+
+
+def key_sequence(cfg: ScenarioConfig) -> list[int]:
+    """The exact uniform key sequence a cell with this config will issue."""
+    rng = random.Random(cfg.seed)
+    return [rng.randint(1, cfg.keyspace) for _ in range(cfg.requests)]
 
 
 @dataclass
@@ -164,7 +165,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             upstream = pipe1.address
 
         gc.collect()  # here, not inside the timed requests: a full one can take ~20 ms
-        report = run_workload(upstream, cfg.workload())
+        report = run_workload(upstream, key_sequence(cfg), cfg.request_timeout_s)
 
     # Every loop has stopped, and its thread's join orders its writes before
     # these reads: the proxy's store and the mock's transcripts.
@@ -223,7 +224,7 @@ def summarize_single(result: ScenarioResult) -> str:
         f"client-cache {cfg.scaled_delays.client_cache_oneway_ms:g}, "
         f"cache-server {cfg.scaled_delays.cache_server_oneway_ms:g}",
         f"requests: {len(report.records)} "
-        f"({cfg.batches} batches x {cfg.per_batch}, keys 1..{cfg.keyspace}, seed {cfg.seed})",
+        f"(keys 1..{cfg.keyspace}, seed {cfg.seed})",
         f"latency ms: mean {report.mean():.2f}  median {report.median():.2f}  "
         f"p95 {report.percentile(95):.2f}  p99 {report.percentile(99):.2f}",
         *(f"latency ms, {outcome}: n {len(g.records)}  mean {g.mean():.2f}  "

@@ -1,42 +1,25 @@
 """Closed-loop workload client and metrics collection.
 
-The client issues one request at a time and waits for the matching
-response, so throughput is the reciprocal of mean latency. Whether a
-request hit the cache is not visible on the wire: ``run_workload`` labels
-each request ``direct`` (or ``timeout``) and keeps its request id, and the
-scenario runner relabels a cached cell's requests from what the mock
-server received.
+``run_workload`` finds the keys it is given one at a time, waiting for
+each response before the next request, so throughput is the reciprocal
+of mean latency. Its client frames replies through a ``loop.Leg``, as
+every loop does, so a reply cut short by a timeout is finished on the
+next read. Whether a request hit the cache is not visible on the wire:
+``run_workload`` labels each request ``direct`` (or ``timeout``) and keeps
+its request id, and the scenario runner relabels a cached cell's requests
+from what the mock server received.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import socket
 import statistics
 import time
 from dataclasses import dataclass
 
 from .. import wire
-
-
-@dataclass
-class WorkloadConfig:
-    batches: int = 30
-    per_batch: int = 1000
-    keyspace: int = 100
-    seed: int = 42
-    request_timeout_s: float = 10.0
-
-    @property
-    def total_requests(self) -> int:
-        return self.batches * self.per_batch
-
-
-def key_sequence(cfg: WorkloadConfig) -> list[int]:
-    """The exact uniform key sequence a run with this config will issue."""
-    rng = random.Random(cfg.seed)
-    return [rng.randint(1, cfg.keyspace) for _ in range(cfg.total_requests)]
+from ..loop import Leg
 
 
 @dataclass
@@ -53,10 +36,13 @@ class RequestRecord:
 class MetricsReport:
     records: list[RequestRecord]
     duration_s: float
-    timeouts: int = 0
     store_stats: dict | None = None
     store_entries: int | None = None
     reconciled: bool | None = None
+
+    @property
+    def timeouts(self) -> int:
+        return sum(r.outcome == "timeout" for r in self.records)
 
     @property
     def samples(self) -> list[float]:
@@ -129,13 +115,14 @@ class MetricsReport:
 
 
 class ProtocolClient:
-    """Blocking request/response client for the wire protocol."""
+    """Blocking request/response client for the wire protocol. Its socket
+    is a ``loop.Leg``: bytes read before a timeout stay in ``inbuf`` for
+    the next ``receive``."""
 
     def __init__(self, address: tuple[str, int], timeout_s: float = 10.0):
         self.sock = socket.create_connection(address, timeout=timeout_s)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.timeout_s = timeout_s
-        self._stream = wire.SocketStream(self.sock)
+        self.leg = Leg(self.sock, "client")
+        self.sock.settimeout(timeout_s)  # after Leg made it non-blocking
         self._next_id = 1
 
     def close(self) -> None:
@@ -158,8 +145,14 @@ class ProtocolClient:
         request_id = self._next_id
         self._next_id += 1
         m = wire.make_message(request_id, 0, wire.encode_document(body_doc))
-        wire.write_message(self._stream, m)
+        self.sock.sendall(m.to_bytes())
         return request_id
+
+    def receive(self) -> wire.RawMessage:
+        """Read the next message; each recv waits up to the timeout."""
+        while not self.leg.frame_ready() and self.leg.fill():
+            pass
+        return wire.read_message(self.leg)
 
     def receive_response(self, request_id: int) -> wire.RawMessage:
         """Read until the response matching ``request_id`` arrives.
@@ -167,7 +160,7 @@ class ProtocolClient:
         Stale responses (from an earlier timed-out request) are discarded.
         """
         while True:
-            m = wire.read_message(self._stream)
+            m = self.receive()
             if m.header.response_to == request_id:
                 return m
 
@@ -181,25 +174,24 @@ class ProtocolClient:
         return self.request_doc({"find": collection, "filter": {"_id": {"$eq": key}}})
 
 
-def run_workload(target: tuple[str, int], cfg: WorkloadConfig) -> MetricsReport:
-    """Send a hello, then issue the configured find workload and time each find.
+def run_workload(target: tuple[str, int], keys: list[int], timeout_s: float) -> MetricsReport:
+    """Send a hello, then find each key in turn and time each find.
 
-    Each request is labeled "direct", or "timeout" if its reply did not come.
+    Each request is labeled "direct", or "timeout" if its reply did not
+    come within ``timeout_s`` of a read.
     """
     records: list[RequestRecord] = []
-    timeouts = 0
-    with ProtocolClient(target, timeout_s=cfg.request_timeout_s) as client:
+    with ProtocolClient(target, timeout_s) as client:
         client.request_doc({"hello": 1, "client": "netlab"})
         started = time.perf_counter()
-        for seq, key in enumerate(key_sequence(cfg)):
+        for seq, key in enumerate(keys):
             body = {"find": "phrases", "filter": {"_id": {"$eq": key}}}
             t0 = time.perf_counter()
             outcome = "direct"
             request_id = client.send(body)
             try:
                 client.receive_response(request_id)
-            except (socket.timeout, TimeoutError):
-                timeouts += 1
+            except TimeoutError:
                 outcome = "timeout"
             t1 = time.perf_counter()
             records.append(RequestRecord(
@@ -208,4 +200,4 @@ def run_workload(target: tuple[str, int], cfg: WorkloadConfig) -> MetricsReport:
                 completed_at=t1 - started, request_id=request_id,
             ))
         duration = time.perf_counter() - started
-    return MetricsReport(records=records, duration_s=duration, timeouts=timeouts)
+    return MetricsReport(records=records, duration_s=duration)

@@ -397,44 +397,19 @@ def peek_first_field(body: bytes) -> str | None:
         return None
 
 
-class SocketStream:
-    """Minimal read/write adapter over a connected socket.
-
-    Unlike ``socket.makefile``, it stays usable after a read timeout,
-    which closed-loop clients rely on to carry on past a lost response.
-    """
-
-    __slots__ = ("sock",)
-
-    def __init__(self, sock):
-        self.sock = sock
-
-    def read(self, n: int) -> bytes:
-        return self.sock.recv(n)
-
-    def write(self, data: bytes) -> None:
-        self.sock.sendall(data)
-
-
 def _read_exact(stream, n: int) -> bytes:
     chunk = stream.read(n)
     if len(chunk) == n:
         return chunk
-    buf = bytearray(chunk)
-    while chunk and len(buf) < n:
-        chunk = stream.read(n - len(buf))
-        buf += chunk
-    if len(buf) < n:
-        if buf:
-            raise TruncatedMessage(f"stream ended {n - len(buf)} bytes short")
-        raise ConnectionClosed("stream closed")
-    return bytes(buf)
+    if chunk:
+        raise TruncatedMessage(f"stream ended {n - len(chunk)} bytes short")
+    raise ConnectionClosed("stream closed")
 
 
 def read_message(stream, max_bytes: int = DEFAULT_MAX_MESSAGE_BYTES) -> RawMessage:
-    """Read one complete message from a stream with a ``read(n)`` method.
-
-    Handles arbitrary chunking (waits for the declared length).
+    """Read one complete message from a stream whose ``read(n)`` returns
+    fewer than ``n`` bytes only at its end: a ``loop.Leg`` once
+    ``frame_ready``, an ``io.BytesIO``, or a socket's ``makefile("rb")``.
 
     Raises:
         ConnectionClosed: clean EOF on a message boundary.

@@ -88,7 +88,7 @@ def simulate_outcomes(keys: list[int], capacity: int, policy: str = "noevict") -
 def send_and_read(client: ProtocolClient, body_doc: dict) -> wire.RawMessage:
     """Send one request and return the next message read, whatever it answers."""
     client.send(body_doc)
-    return wire.read_message(client._stream)
+    return client.receive()
 
 
 def every_schedule(run) -> int:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
-Scenario cells run at desk scale (delays divided by 10, 5 batches of
-200 requests) and are checked with scale-invariant ratios, so the
-thresholds don't depend on the hardware the suite runs on. Shared cells
-are computed once and reused across criteria.
+Scenario cells run at desk scale (delays divided by 10, 1,000 requests)
+and are checked with scale-invariant ratios, so the thresholds don't
+depend on the hardware the suite runs on. Shared cells are computed
+once and reused across criteria.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines as they pass.
@@ -30,8 +30,7 @@ from support import random_document, random_header, send_and_read
 
 # Desk-scale profile: delay ratios preserved, wall time bounded.
 TIME_SCALE = 10.0
-BATCHES = 5
-PER_BATCH = 200
+REQUESTS = 1000
 SEED = 42
 
 # Allowance for proxy/server processing and localhost fabric on top of
@@ -50,7 +49,7 @@ _CELLS: dict[str, ScenarioResult] = {}
 
 def _config(key: str) -> ScenarioConfig:
     base = dict(
-        batches=BATCHES, per_batch=PER_BATCH, keyspace=100,
+        requests=REQUESTS, keyspace=100,
         time_scale=TIME_SCALE, seed=SEED,
     )
     scenario, _, variant = key.partition("/")

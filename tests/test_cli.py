@@ -15,7 +15,7 @@ import pytest
 from netkvcache import cli as proxy_cli
 from netkvcache.netlab import cli as netlab_cli
 from netkvcache.netlab.mockserver import MockKVServer
-from netkvcache.netlab.scenario import ScenarioConfig
+from netkvcache.netlab.scenario import DelaySpec, ScenarioConfig
 from netkvcache.proxy import ProxyConfig
 
 
@@ -147,8 +147,8 @@ def test_proxy_cli_stats_rows_survive_sigkill(tmp_path):
 
 def test_netlab_cli_run_tiny(capsys, tmp_path):
     rc = netlab_cli.main([
-        "run", "--scenario", "custom", "--delays", "0.2,1.0",
-        "--keyspace", "5", "--batches", "1", "--per-batch", "20",
+        "run", "--delays", "0.2,1.0",
+        "--keyspace", "5", "--requests", "20",
         "--capacity", "5", "--seed", "3", "--out", str(tmp_path / "oot"),
     ])
     assert rc == 0
@@ -159,8 +159,8 @@ def test_netlab_cli_run_tiny(capsys, tmp_path):
 
 def test_netlab_cli_sweep_tiny(capsys):
     rc = netlab_cli.main([
-        "sweep", "--scenario", "custom", "--delays", "0.2,1.0",
-        "--keyspace", "5", "--batches", "1", "--per-batch", "15",
+        "sweep", "--delays", "0.2,1.0",
+        "--keyspace", "5", "--requests", "15",
         "--capacities", "2,5", "--seed", "3",
     ])
     assert rc == 0
@@ -200,7 +200,7 @@ def test_each_command_given_only_its_required_options_builds_the_defaults(monkey
 
 
 _SCENARIO_DEFAULTS = [getattr(ScenarioConfig, name) for name in
-                      ("keyspace", "batches", "per_batch", "policy", "time_scale", "seed")]
+                      ("keyspace", "requests", "policy", "time_scale", "seed")]
 
 
 @pytest.mark.parametrize("main, argv, defaults", [
@@ -220,10 +220,16 @@ def test_help_shows_each_default(main, argv, defaults, capsys):
         assert f"(default: {getattr(value, 'value', value)})" in shown
 
 
-def test_netlab_cli_custom_requires_delays():
-    with pytest.raises(SystemExit):
-        netlab_cli.main(["run", "--scenario", "custom", "--batches", "1", "--per-batch", "1"])
-
+def test_netlab_cli_delays_make_a_custom_layout_and_no_named_one(monkeypatch, capsys):
+    monkeypatch.setattr(netlab_cli, "run_scenario", _built)
+    with pytest.raises(_Built) as got:
+        netlab_cli.main(["run", "--delays", "5,5"])
+    assert got.value.args == ((ScenarioConfig(delays=DelaySpec(5.0, 5.0)),), {})
+    for name in ("A", "B-ohio"):  # B-ohio is also the default
+        with pytest.raises(SystemExit) as exited:
+            netlab_cli.main(["run", "--scenario", name, "--delays", "5,5"])
+        assert exited.value.code == 2
+        assert "argument --delays: not allowed with argument --scenario" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("main, option, args", [
@@ -243,20 +249,19 @@ def test_bad_address_is_a_usage_error(main, option, args, capsys):
 
 
 @pytest.mark.parametrize("option, args", [
-    ("--delays", ["run", "--scenario", "custom", "--delays", "5"]),
-    ("--delays", ["run", "--scenario", "custom", "--delays=-1,5"]),
+    ("--delays", ["run", "--delays", "5"]),
+    ("--delays", ["run", "--delays=-1,5"]),
     ("--time-scale", ["run", "--time-scale", "0"]),
     ("--capacities", ["sweep", "--capacities", "10,x"]),
     ("--capacities", ["sweep", "--capacities", "-5"]),
     ("--capacity", ["run", "--capacity", "-1"]),
     ("--keyspace", ["run", "--keyspace", "0"]),
     ("--keyspace", ["sweep", "--keyspace", "-3"]),
-    ("--batches", ["run", "--batches", "0"]),
-    ("--per-batch", ["sweep", "--per-batch", "0"]),
+    ("--requests", ["run", "--requests", "0"]),
+    ("--requests", ["sweep", "--requests", "0"]),
 ])
 def test_netlab_cli_rejects_bad_numbers_with_a_usage_error(option, args, capsys):
     with pytest.raises(SystemExit) as exited:  # small defaults first: the last of an option wins
-        netlab_cli.main([args[0], "--keyspace", "2", "--batches", "1", "--per-batch", "1",
-                         *args[1:]])
+        netlab_cli.main([args[0], "--keyspace", "2", "--requests", "1", *args[1:]])
     assert exited.value.code == 2
     assert f"argument {option}:" in capsys.readouterr().err

@@ -21,18 +21,13 @@ from netkvcache.netlab.scenario import (
     SCENARIO_DELAYS,
     DelaySpec,
     ScenarioConfig,
+    key_sequence,
     run_capacity_sweep,
     run_scenario,
     summarize,
     summarize_single,
 )
-from netkvcache.netlab.workload import (
-    MetricsReport,
-    ProtocolClient,
-    RequestRecord,
-    WorkloadConfig,
-    key_sequence,
-)
+from netkvcache.netlab.workload import MetricsReport, ProtocolClient, RequestRecord, run_workload
 from netkvcache.storage import Policy
 from netkvcache.wire import encode_document, make_message, read_message
 from support import simulate_outcomes
@@ -92,13 +87,12 @@ def test_insert_without_id_stores_nothing_and_a_null_id_update_gets_a_reply(serv
 
 def test_malformed_document_gets_error_response(server):
     import socket as socket_mod
-    from netkvcache.wire import MessageHeader, RawMessage, SocketStream, write_message
+    from netkvcache.wire import MessageHeader, RawMessage
 
     sock = socket_mod.create_connection(server.address)
-    stream = SocketStream(sock)
     body = b"\x09\x00\x00\x00\xff\xff\xff\xff\x00"  # valid frame, junk document
-    write_message(stream, RawMessage(MessageHeader(30, 1, 0, 2013, 0, 0, 9), body))
-    reply = read_message(stream)
+    sock.sendall(RawMessage(MessageHeader(30, 1, 0, 2013, 0, 0, 9), body).to_bytes())
+    reply = read_message(sock.makefile("rb"))
     from netkvcache.wire import decode_document
     assert decode_document(reply.body)["ok"] == 0.0
     sock.close()
@@ -114,7 +108,7 @@ def _int32(name: bytes, value: int) -> bytes:
 
 
 def test_reply_that_cannot_be_encoded_ends_only_its_connection(server):
-    from netkvcache.wire import ConnectionClosed, make_message, write_message
+    from netkvcache.wire import ConnectionClosed, make_message
 
     # The decoder accepts an empty field name; the encoder refuses it, so an
     # update that merges one into a document fails while the merged document
@@ -125,9 +119,9 @@ def test_reply_that_cannot_be_encoded_ends_only_its_connection(server):
                   b"\x04updates\x00" + _doc(b"\x030\x00" + statement))
     with ProtocolClient(server.address) as bad, ProtocolClient(server.address) as good:
         before = good.find(7)["cursor"]["firstBatch"]
-        write_message(bad._stream, make_message(1, 0, update))
+        bad.sock.sendall(make_message(1, 0, update).to_bytes())
         with pytest.raises(ConnectionClosed):
-            read_message(bad._stream)
+            bad.receive()
         assert good.find(1)["ok"] == 1.0
         assert good.find(7)["cursor"]["firstBatch"] == before != []
     with ProtocolClient(server.address) as later:
@@ -143,8 +137,8 @@ def test_inserted_document_comes_back_byte_for_byte(server):
                   b"\x04documents\x00" + _doc(b"\x030\x00" + sent))
     assert encode_document(wire.decode_document(sent)) != sent
     with ProtocolClient(server.address) as client:
-        wire.write_message(client._stream, make_message(1, 0, insert))
-        assert wire.decode_document(read_message(client._stream).body)["n"] == 1
+        client.sock.sendall(make_message(1, 0, insert).to_bytes())
+        assert wire.decode_document(client.receive().body)["n"] == 1
         reply = client.request({"find": "phrases", "filter": {"_id": 5}}).body
     assert reply == _find_reply("phrases", sent)
     assert sent in reply
@@ -249,7 +243,7 @@ def test_back_to_back_messages_keep_order(server):
             ids = [client.send({"find": "phrases", "filter": {"_id": {"$eq": k}}})
                    for k in (1, 2, 3, 4)]
             t0 = time.perf_counter()
-            got = [read_message(client._stream).header.response_to for _ in ids]
+            got = [client.receive().header.response_to for _ in ids]
             elapsed = (time.perf_counter() - t0) * 1000
         assert got == ids
         # pipelined: four responses arrive in roughly one RTT, not four
@@ -432,7 +426,7 @@ def test_a_loop_opened_without_its_thread_is_stepped_and_stopped_by_its_caller()
         deadline = time.monotonic() + 2.0
         while not select.select([client], [], [], 0)[0] and time.monotonic() < deadline:
             server.step(0.1)  # the accept, then the request
-        reply = read_message(wire.SocketStream(client))
+        reply = read_message(client.makefile("rb"))
         assert reply.header.response_to == 7
         assert threading.active_count() == threads
         assert server.step(0) == 0  # quiet
@@ -490,9 +484,9 @@ def test_delivery_that_raises_ends_only_its_connection(server, monkeypatch):
     try:
         with ProtocolClient(pipe.address) as bad, ProtocolClient(pipe.address) as good:
             assert good.find(1)["ok"] == 1.0
-            write_message(bad._stream, make_message(bad_id, 0, find))
+            bad.sock.sendall(make_message(bad_id, 0, find).to_bytes())
             with pytest.raises(wire.ConnectionClosed):
-                read_message(bad._stream)
+                bad.receive()
             assert good.find(2)["ok"] == 1.0
         with ProtocolClient(pipe.address) as later:
             assert later.find(3)["ok"] == 1.0
@@ -504,16 +498,24 @@ def test_delivery_that_raises_ends_only_its_connection(server, monkeypatch):
 
 
 def test_key_sequence_is_seeded_and_in_range():
-    cfg = WorkloadConfig(batches=3, per_batch=100, keyspace=10, seed=7)
+    cfg = ScenarioConfig(requests=300, keyspace=10, seed=7)
     keys = key_sequence(cfg)
     assert keys == key_sequence(cfg)
     assert len(keys) == 300
     assert all(1 <= k <= 10 for k in keys)
-    assert key_sequence(WorkloadConfig(batches=3, per_batch=100, keyspace=10, seed=8)) != keys
+    assert key_sequence(ScenarioConfig(requests=300, keyspace=10, seed=8)) != keys
+
+
+def test_key_sequence_of_an_acceptance_cell_is_the_one_it_always_issued():
+    # 1,000 requests, keys 1..100, seed 42: the keys that 5 batches of 200
+    # drew before the request count was one number.
+    keys = key_sequence(ScenarioConfig(requests=1000, keyspace=100, seed=42))
+    assert len(keys) == 1000 and sum(keys) == 51174
+    assert keys[:10] == [82, 15, 4, 95, 36, 32, 29, 18, 95, 14] and keys[-3:] == [38, 30, 47]
 
 
 def test_simulate_outcomes_noevict_closed_form():
-    cfg = WorkloadConfig(batches=30, per_batch=1000, keyspace=100, seed=1)
+    cfg = ScenarioConfig(requests=30_000, keyspace=100, seed=1)
     outcomes = simulate_outcomes(key_sequence(cfg), capacity=10, policy="noevict")
     hit_rate = outcomes.count("hit") / len(outcomes)
     # steady state: the 10 resident keys each draw with probability 1/100
@@ -536,7 +538,7 @@ def test_simulate_outcomes_lru_vs_noevict_differ_when_saturated():
 def tiny_config(**overrides) -> ScenarioConfig:
     base = dict(
         name="custom", delays=DelaySpec(0.5, 2.0), capacity=10,
-        keyspace=10, batches=2, per_batch=50, seed=5,
+        keyspace=10, requests=100, seed=5,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -564,7 +566,7 @@ def test_scenario_labels_match_the_policy_model(policy):
     # Labels come from what the mock received; the model knows only the keys.
     cfg = tiny_config(delays=DelaySpec(0.0, 0.0), capacity=4, policy=Policy(policy))
     report = run_scenario(cfg).report
-    expected = simulate_outcomes(key_sequence(cfg.workload()), 4, policy)
+    expected = simulate_outcomes(key_sequence(cfg), 4, policy)
     assert [r.outcome for r in report.records] == expected
     assert report.reconciled is True
 
@@ -631,39 +633,61 @@ def test_scenario_keyspace_one_all_hits_after_first():
 
 
 def test_warmup_final_batch_hit_rate_at_full_capacity():
-    result = run_scenario(tiny_config(keyspace=10, capacity=10, batches=3, per_batch=60))
+    result = run_scenario(tiny_config(keyspace=10, capacity=10, requests=180))
     final_batch = result.report.records[-60:]
     hits = sum(1 for r in final_batch if r.outcome == "hit")
     assert hits / len(final_batch) >= 0.95
 
 
-def test_workload_timeouts_recorded_and_run_continues():
-    import socket as socket_mod
-    import threading
+def _serve_one_client(script) -> tuple[str, int]:
+    """Listen on a port whose first connection is answered by ``script(conn,
+    stream)`` on a thread, after the hello is answered; return the address."""
+    listener = socket.create_server(("127.0.0.1", 0))
 
-    from netkvcache.netlab.workload import WorkloadConfig, run_workload
-
-    silent = socket_mod.socket()
-    silent.bind(("127.0.0.1", 0))
-    silent.listen(1)
-
-    def answer_hello_then_swallow():
-        conn, _ = silent.accept()
+    def serve():
+        conn, _ = listener.accept()
+        listener.close()
         with conn, conn.makefile("rb") as stream:
             hello = read_message(stream)
             conn.sendall(make_message(1, hello.header.request_id,
                                       encode_document({"ok": 1.0})).to_bytes())
-            conn.recv(1 << 16)
-            time.sleep(2.0)
+            script(conn, stream)
 
-    eater = threading.Thread(target=answer_hello_then_swallow, daemon=True)
-    eater.start()
-    cfg = WorkloadConfig(batches=1, per_batch=3, keyspace=5, seed=1, request_timeout_s=0.15)
-    report = run_workload(silent.getsockname()[:2], cfg)
-    silent.close()
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()[:2]
+
+
+def test_workload_timeouts_recorded_and_run_continues():
+    def swallow(conn, stream):
+        conn.recv(1 << 16)
+        time.sleep(2.0)
+
+    report = run_workload(_serve_one_client(swallow), [1, 2, 3], timeout_s=0.15)
     assert report.timeouts == 3
     assert len(report.records) == 3
     assert all(r.outcome == "timeout" for r in report.records)
+
+
+def test_a_reply_that_straddles_the_timeout_is_finished_by_the_next_read():
+    # The first find's reply comes in two parts, 0.3 s apart: the first
+    # find times out at 0.15 s with 10 bytes read. Those bytes stay read,
+    # so the rest completes that reply, which the second find skips as
+    # stale before reading its own.
+    def straddle(conn, stream):
+        for i in range(3):
+            find = read_message(stream)
+            reply = make_message(10 + i, find.header.request_id,
+                                 _find_reply("phrases")).to_bytes()
+            if i == 0:
+                conn.sendall(reply[:10])
+                time.sleep(0.3)
+                reply = reply[10:]
+            conn.sendall(reply)
+
+    report = run_workload(_serve_one_client(straddle), [1, 2, 3], timeout_s=0.15)
+    assert [r.outcome for r in report.records] == ["timeout", "direct", "direct"]
+    assert report.timeouts == 1
+    assert [g.timeouts for g in report.by_outcome().values()] == [1, 0]
 
 
 def test_scenario_no_cache_labels_direct():
@@ -709,7 +733,7 @@ def test_summarize_single_mentions_key_fields():
 
 
 def test_summary_improvement_arithmetic():
-    sweep = run_capacity_sweep(tiny_config(per_batch=30), capacities=[10])
+    sweep = run_capacity_sweep(tiny_config(requests=60), capacities=[10])
     direct = sweep.baseline.report.mean()
     cached = sweep.cells[0].report.mean()
     expected = (1 - cached / direct) * 100

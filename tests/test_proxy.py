@@ -19,7 +19,7 @@ from netkvcache.netlab.workload import ProtocolClient
 from netkvcache.proxy import BindFailure, CacheProxy, ProxyConfig
 from netkvcache.storage import CacheStore, Policy, canonical_key
 from netkvcache.wire import (
-    DEFAULT_MAX_MESSAGE_BYTES, HEADER_SIZE, ConnectionClosed, SocketStream, decode_document,
+    DEFAULT_MAX_MESSAGE_BYTES, HEADER_SIZE, ConnectionClosed, decode_document,
     make_message, read_message,
 )
 from support import SteppedWorld, send_and_read
@@ -143,7 +143,7 @@ def test_hit_does_not_overtake_an_owed_reply(server):
             client.find(1)  # request 1 fills key 1
             ids = [client.send({"find": "phrases", "filter": {"_id": {"$eq": k}}})
                    for k in (2, 1)]  # a miss, then a read of the cached key
-            got = [read_message(client._stream).header.response_to for _ in ids]
+            got = [client.receive().header.response_to for _ in ids]
         assert got == ids == [2, 3]
     finally:
         proxy.stop(grace=0.2)
@@ -328,7 +328,7 @@ def test_per_leg_order_preserved_with_pipelined_messages(server):
                 client.send({"ping": 1}),
                 client.send({"find": "phrases", "filter": {"_id": {"$eq": 2}}}),
             ]
-            got = [read_message(client._stream).header.response_to for _ in ids]
+            got = [client.receive().header.response_to for _ in ids]
         assert got == ids
     finally:
         proxy.stop(grace=0.2)
@@ -462,7 +462,7 @@ def test_hanging_upstream_connect_blocks_no_other_session(monkeypatch):
         clients = [socket.create_connection(proxy.address, timeout=2) for _ in range(2)]
         for sock in clients:
             with pytest.raises(ConnectionClosed):
-                read_message(SocketStream(sock))
+                read_message(sock.makefile("rb"))
             assert time.monotonic() - t0 < 0.55
     finally:
         t1 = time.monotonic()
@@ -539,9 +539,11 @@ def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
             expected = [direct.request(body).to_bytes() for body in finds[:4] + finds][4:]
         largest = max(len(frame) for frame in expected)
         with ProtocolClient(proxy.address) as client:
+            # Before any reply: shrunk after the kernel has grown it, the
+            # buffer stalls each refill on a ~200 ms window probe.
+            client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)
             for body in finds[:4]:
                 client.request(body)  # fill the cache: every find below is a hit
-            client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)
             for body in finds:
                 client.send(body)
             peak = 0
@@ -549,7 +551,7 @@ def test_backpressure_bounds_queue_of_a_client_that_does_not_read():
             while time.monotonic() < deadline:
                 peak = max([peak] + [s.queued_bytes() for s in list(proxy._connections)])
                 time.sleep(0.002)
-            got = [read_message(client._stream).to_bytes() for _ in finds]
+            got = [client.receive().to_bytes() for _ in finds]
         assert MAX_QUEUED_BYTES <= peak <= MAX_QUEUED_BYTES + largest
         # A hit carries a request id of the proxy's own; all else is the server's.
         assert [f[:4] + f[8:] for f in got] == [f[:4] + f[8:] for f in expected]
@@ -627,7 +629,7 @@ def test_stop_drains_forwarded_requests_the_engine_does_not_track(server):
             t0 = time.monotonic()
             proxy.stop(grace=1.0)
             assert time.monotonic() - t0 < 0.9  # it stopped once both were answered
-            got = [read_message(client._stream) for _ in ids]
+            got = [client.receive() for _ in ids]
         assert [m.header.response_to for m in got] == ids
         assert decode_document(got[0].body)["ok"] == 1.0
         assert proxy.store.snapshot_stats().bypasses == 1

